@@ -5,13 +5,28 @@
 // a helpful message; positional arguments are preserved in order.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace delta {
+
+/// `text` as a base-10 integer in [lo, hi]; nullopt when it is not one
+/// whole integer (empty, trailing characters, overflow) or out of range.
+inline std::optional<std::int64_t> parse_int_in(std::string_view text, std::int64_t lo,
+                                                std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
+}
 
 class ArgParser {
  public:
@@ -46,6 +61,23 @@ class ArgParser {
     auto it = flags_.find(name);
     if (it == flags_.end() || it->second.empty()) return def;
     return std::stoll(it->second);
+  }
+
+  /// Range-checked get_int for command-line tools: `def` when the flag is
+  /// absent, else its value, which must be an integer in [lo, hi].  Any
+  /// other value prints a message to stderr and exits with code 2.
+  std::int64_t get_int_in(const std::string& name, std::int64_t def, std::int64_t lo,
+                          std::int64_t hi) const {
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return def;
+    const std::optional<std::int64_t> v = parse_int_in(it->second, lo, hi);
+    if (!v) {
+      std::fprintf(stderr, "--%s expects an integer in [%lld, %lld], got '%s'\n",
+                   name.c_str(), static_cast<long long>(lo), static_cast<long long>(hi),
+                   it->second.c_str());
+      std::exit(2);
+    }
+    return *v;
   }
 
   double get_double(const std::string& name, double def) const {

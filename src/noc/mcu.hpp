@@ -36,8 +36,8 @@ class MemoryController {
 
   /// The latency request_latency() would charge, without counting a
   /// request.  Constant within an epoch (queue_delay_ only moves at
-  /// end_epoch), which is what lets the intra-run engine compute miss
-  /// latencies from per-bank workers and fold the request counts in later.
+  /// end_epoch), which is what lets the simulator's LLC access kernel
+  /// price every miss with it and leave counting to each driver.
   Cycles current_request_latency() const { return cfg_.idle_latency + queue_delay_; }
 
   /// Bulk-counts `n` requests in the current epoch; paired with

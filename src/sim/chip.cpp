@@ -7,6 +7,7 @@
 #include "mem/address.hpp"
 #include "obs/prof/prof.hpp"
 #include "sim/intra.hpp"
+#include "sim/llc_kernel.hpp"
 
 namespace delta::sim {
 
@@ -58,14 +59,14 @@ void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
   // the work it measures); disabled cost is one relaxed load.
   const obs::prof::ScopedSite prof_timer(obs::prof::Site::kAccessBatch);
   // Hot path: everything loop-invariant — the slot, its generator/monitor,
-  // the scheme pointer, the fixed tag+data latency — is hoisted out of the
+  // the scheme pointer, the cost-model view — is hoisted out of the
   // per-access loop, and per-access statistics accumulate in locals that
   // are folded into the slot and traffic counters once per batch.
   AppSlot& s = slots_[static_cast<std::size_t>(c)];
   workload::TraceGen* const gen = s.gen.get();
   umon::Umon* const um = s.umon.get();
   Scheme* const scheme = scheme_.get();
-  const Cycles fixed_lat = cfg_.llc_tag_latency + cfg_.llc_data_latency;
+  const LlcKernel kernel(banks_, mesh_, memsys_, cfg_);
 
   std::uint64_t hits = 0, misses = 0, remote = 0;
 
@@ -89,29 +90,25 @@ void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
       um->prefetch(next_block);
     }
     const int hops = mesh_.hops(c, t.bank);
-    Cycles lat = mesh_.round_trip(c, t.bank) + fixed_lat;
     remote += hops > 0 ? 1 : 0;
 
     const mem::WayMask mask = scheme->insert_mask(*this, c, t.bank);
     const CoreId evict_pref = scheme->evict_preference(*this, c, t.bank);
-    const mem::AccessResult res =
-        bank(t.bank).access(t.set, block, c, mask, evict_pref);
-    if (res.hit) {
+    const LlcAccess a = kernel.access(t.bank, t.set, block, c, mask, evict_pref);
+    if (a.res.hit) {
       ++hits;
     } else {
-      if (res.way >= 0) scheme->on_insertion(*this, c, t.bank, res);
-      const int mcu = memsys_.mcu_for(block);
-      const int attach = memsys_.attach_tile(mcu);
-      lat += mesh_.round_trip(t.bank, attach) + memsys_.mcu(mcu).request_latency();
+      if (a.res.way >= 0) scheme->on_insertion(*this, c, t.bank, a.res);
+      memsys_.mcu(a.mcu).add_requests(1);
       ++misses;
     }
 
     // The double accumulators stay per-access in-place additions so every
     // sum sees the same values in the same order as the historical scalar
     // loop — floating-point results must not drift under the refactor.
-    s.epoch_lat_sum += static_cast<double>(lat);
+    s.epoch_lat_sum += static_cast<double>(a.lat);
     if (measuring) {
-      s.lat_sum += static_cast<double>(lat);
+      s.lat_sum += static_cast<double>(a.lat);
       s.hop_sum += static_cast<double>(hops);
     }
   }

@@ -7,8 +7,9 @@
 // profile's accesses-per-kilo-instruction); streams of different cores are
 // interleaved in small batches so set-level interference in shared
 // configurations is modelled.  Per-access latency = NoC round trip to the
-// bank + tag/data latency, plus MCU round trip + DRAM + queueing on a miss;
-// each access contributes latency/MLP stall cycles (interval model).
+// bank + tag/data latency, plus MCU round trip + DRAM + queueing on a miss,
+// charged by the LLC access kernel (sim/llc_kernel.hpp); each access
+// contributes latency/MLP stall cycles (interval model).
 #pragma once
 
 #include <memory>

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "sim/chip.hpp"
+#include "sim/llc_kernel.hpp"
 
 namespace delta::sim {
 
@@ -157,10 +158,7 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
   Scheme* const scheme = chip_.scheme_.get();
-  const noc::MemorySystem& memsys = chip_.memsys_;
-  const noc::Mesh& mesh = chip_.mesh_;
-  const Cycles fixed_lat =
-      chip_.cfg_.llc_tag_latency + chip_.cfg_.llc_data_latency;
+  const LlcKernel kernel(chip_.banks_, chip_.mesh_, chip_.memsys_, chip_.cfg_);
 
   // Canonical merge: the serial loop issues round-robin batches of
   // interleave_batch() per core, so this bank saw its accesses in ascending
@@ -205,20 +203,15 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
         if (cur < seg.size()) bank.prefetch_set(st.acc[seg[cur]].set);
         const mem::WayMask mask = scheme->insert_mask(chip_, c, b);
         const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
-        const mem::AccessResult res = bank.access(a.set, a.block, c, mask, evict_pref);
-        Cycles lat = mesh.round_trip(c, b) + fixed_lat;
-        if (res.hit) {
+        const LlcAccess r = kernel.access(b, a.set, a.block, c, mask, evict_pref);
+        if (r.res.hit) {
           ++tally.hits[static_cast<std::size_t>(c)];
         } else {
-          if (res.way >= 0) scheme->on_insertion(chip_, c, b, res);
-          const int mcu = memsys.mcu_for(a.block);
-          const int attach = memsys.attach_tile(mcu);
-          lat += mesh.round_trip(b, attach) +
-                 memsys.mcu(mcu).current_request_latency();
+          if (r.res.way >= 0) scheme->on_insertion(chip_, c, b, r.res);
           ++tally.misses[static_cast<std::size_t>(c)];
-          ++tally.mcu_reqs[static_cast<std::size_t>(mcu)];
+          ++tally.mcu_reqs[static_cast<std::size_t>(r.mcu)];
         }
-        a.lat = static_cast<std::uint32_t>(lat);
+        a.lat = static_cast<std::uint32_t>(r.lat);
       }
     }
   }
@@ -436,12 +429,16 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
   profile_.count_epoch(/*pool_sections=*/1, tasks, stolen, ranges, overlapped);
 }
 
-std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs) {
+unsigned resolve_intra_threads(int intra_jobs, int cores) {
   unsigned n = intra_jobs <= 0 ? std::thread::hardware_concurrency()
                                : static_cast<unsigned>(intra_jobs);
   if (n == 0) n = 1;
-  const unsigned cores = static_cast<unsigned>(chip.cores());
-  if (n > cores) n = cores;  // More shards than banks cannot help.
+  // More shards than banks cannot help.
+  return std::min(n, static_cast<unsigned>(cores));
+}
+
+std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs) {
+  const unsigned n = resolve_intra_threads(intra_jobs, chip.cores());
   if (n <= 1) return nullptr;
   return std::make_unique<IntraEngine>(chip, n);
 }

@@ -2,12 +2,9 @@
 // threads while staying byte-identical to the serial interleaved loop.
 //
 // The serial engine (Chip::run_one_epoch) issues accesses in round-robin
-// batches of Chip::interleave_batch() per core.  Earlier revisions of this
-// engine reproduced that computation in three lockstep phases (stage cores /
-// apply banks / reduce cores), which cost six barrier crossings per epoch
-// and left half the section time parked on the CyclicBarrier.  The current
-// engine fuses all three phases into ONE worker-pool section per epoch — two
-// barrier crossings total — scheduled by deterministic work-stealing:
+// batches of Chip::interleave_batch() per core.  This engine reproduces that
+// computation in ONE worker-pool section per epoch — two barrier crossings —
+// scheduled by deterministic work-stealing over three task kinds:
 //
 //   Stage tasks — one per core.  Each core draws its full access stream
 //     (RNG, UMON shadow-tag update, scheme->map() bank routing) into a
@@ -32,10 +29,11 @@
 //     sequence no matter which workers ran its slices.  insert_mask() /
 //     evict_preference() / on_insertion() touch only bank-local or
 //     epoch-constant scheme state (scheme.hpp contract); the slice chain
-//     orders all writes to one bank.  Miss latency uses the MCU's
-//     epoch-constant current_request_latency(); per-access latencies are
-//     written back into the staging buffer and integer tallies accumulate
-//     per bank.
+//     orders all writes to one bank.  Each access is charged by the same
+//     LLC access kernel as the serial loop (sim/llc_kernel.hpp, the one
+//     place the per-access cost model lives); per-access latencies are
+//     written back into the staging buffer, and hit/miss counts and the
+//     kernel's MCU requests accumulate as per-bank tallies.
 //
 //   Reduce tasks — one per core, claimed like stage tasks, runnable once
 //     every bank finished its last slice.  Each core folds its latencies
@@ -180,6 +178,13 @@ class IntraEngine {
   obs::prof::EngineProfile profile_;
 };
 
+/// Host threads a `cores`-tile simulation runs with for `intra_jobs`
+/// (MachineConfig::intra_jobs): 0 means every hardware thread, the count is
+/// clamped to `cores`, and 1 means the serial loop.  Chip's intra engine
+/// and run_multithreaded's staged engine both size themselves with it.
+unsigned resolve_intra_threads(int intra_jobs, int cores);
+
+/// The engine for `intra_jobs`, or null when it resolves to one thread.
 std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs);
 
 }  // namespace delta::sim

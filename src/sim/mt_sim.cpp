@@ -1,10 +1,14 @@
+// Integrated multithreaded simulation: MtChip executes the Sec. II-E design
+// (see mt_sim.hpp).  Every access is routed once (route()) and executed
+// once (execute(), or the staged engine's bank-parallel apply); all LLC
+// access costs come from the LLC access kernel (sim/llc_kernel.hpp), the
+// one place the per-access cost model lives.
 #include "sim/mt_sim.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -17,6 +21,8 @@
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
 #include "obs/prof/prof.hpp"
+#include "sim/intra.hpp"
+#include "sim/llc_kernel.hpp"
 
 namespace delta::sim {
 namespace {
@@ -73,7 +79,9 @@ class MtChip {
   /// Issues one logical-thread access through the shared chip.
   void access(const workload::SplashAccess& a) EXCLUDES(mu_) {
     const common::LockGuard lock(mu_);
-    access_locked(a);
+    MtAccess s = route(a);
+    execute(s);
+    fold(s);
   }
 
   void end_epoch() EXCLUDES(mu_) {
@@ -128,7 +136,7 @@ class MtChip {
   // ---- Staged epoch engine (cfg.intra_jobs > 1). ----
   //
   // The serial loop issues `budget` rounds of one access per logical
-  // thread, all through access_locked in global draw order.  The staged
+  // thread, each routed and executed in global draw order.  The staged
   // engine reproduces that computation the same way sim::IntraEngine does
   // for Chip, with one extra wrinkle: two access classes couple banks
   // together mid-epoch —
@@ -136,14 +144,13 @@ class MtChip {
   //     every bank before the access proceeds;
   //   * a kPrivate shared-page access goes through the MESIF directory and
   //     may invalidate remote copies.
-  // Those execute serially at their exact sequence position; the runs of
-  // bank-confined accesses between them are applied bank-parallel, each
-  // bank walking its staged indices in ascending sequence order (which is
-  // the serial order as seen by that bank).  Latencies are written back
-  // per access and folded into the per-thread double accumulators in
-  // global sequence order afterwards, so each ThreadAcct sees its own
-  // accesses in exactly the serial order — every component is integral
-  // cycles, making the double sums bit-equal.
+  // Those run through execute() serially at their exact sequence position;
+  // the runs of bank-confined accesses between them are applied
+  // bank-parallel, each bank walking its staged indices in ascending
+  // sequence order (which is the serial order as seen by that bank).
+  // Latencies are written back per access and folded into the per-thread
+  // double accumulators in global sequence order afterwards, so each
+  // ThreadAcct sees its own accesses in exactly the serial order.
 
   /// Draws and routes one epoch's accesses (budget rounds x threads) in
   /// global order.  Page classification and UMON updates happen here, on
@@ -160,39 +167,9 @@ class MtChip {
 
     for (std::uint64_t i = 0; i < budget; ++i) {
       for (int t = 0; t < p_.threads; ++t) {
-        const workload::SplashAccess a = gen.next();
-        const CoreId c = a.thread;
-        umons_[static_cast<std::size_t>(c)].access(a.block);
-        const core::PageEvent ev = classifier_.on_access(c, addr_of_block(a.block));
-
-        StagedMt s;
-        s.a = a;
-        s.mask = all_;
-        s.flip = kind_ == SchemeKind::kDelta && ev.reclassified;
-        switch (kind_) {
-          case SchemeKind::kSnuca:
-            s.bank = mem::snuca_bank(a.block, cfg_.cores);
-            s.set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-            break;
-          case SchemeKind::kPrivate:
-            s.bank = c;
-            s.set = mem::set_index(a.block, cfg_.sets_log2);
-            s.coupled = ev.cls == core::PageClass::kShared;
-            break;
-          default:
-            if (ev.cls == core::PageClass::kShared) {
-              s.bank = mem::snuca_bank(a.block, cfg_.cores);
-              s.set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-            } else {
-              s.bank = ctrl_.bank_for(c, a.block);
-              s.set = mem::set_index(a.block, cfg_.sets_log2);
-              s.mask = ctrl_.insert_mask(c, s.bank);
-              if (s.mask == 0) s.mask = all_;  // Defensive: never bypass here.
-            }
-            break;
-        }
+        const MtAccess s = route(gen.next());
         const auto seq = static_cast<std::uint32_t>(staged_.size());
-        if (s.coupled || s.flip)
+        if (s.coherent || s.flip)
           coupled_.push_back(seq);
         else
           bank_lists_[static_cast<std::size_t>(s.bank)].push_back(seq);
@@ -216,27 +193,118 @@ class MtChip {
     };
     for (const std::uint32_t k : coupled_) {
       run_segment(k);
-      apply_coupled(k);
+      const common::LockGuard lock(mu_);
+      execute(staged_[k]);
     }
     run_segment(static_cast<std::uint32_t>(staged_.size()));
     reduce_epoch();
   }
 
  private:
-  /// One staged mt access.  Routing fields are filled by stage_epoch;
-  /// lat/hit are written during apply and folded by reduce_epoch.
-  struct StagedMt {
+  /// One mt access.  route() fills the routing fields; execute() (or the
+  /// staged engine's bank-parallel apply) fills hit/lat.
+  struct MtAccess {
     workload::SplashAccess a;
     BankId bank = 0;
     std::uint32_t set = 0;
     mem::WayMask mask = 0;
-    bool coupled = false;  ///< kPrivate shared-page: directory path.
-    bool flip = false;     ///< kDelta reclassification: cross-bank invalidate.
+    bool coherent = false;  ///< kPrivate shared page: MESIF directory path.
+    bool flip = false;      ///< kDelta reclassification: invalidate the page first.
     bool hit = false;
     std::uint32_t lat = 0;
   };
 
-  /// Applies bank `b`'s staged accesses with sequence below `limit`.
+  LlcKernel kernel() REQUIRES(mu_) { return LlcKernel(banks_, mesh_, memsys_, cfg_); }
+
+  /// Monitors and classifies one access, then picks its bank, set and
+  /// insertion mask: S-NUCA for kSnuca and for shared pages under kDelta,
+  /// the home bank under kPrivate, the owner's CBT otherwise.
+  MtAccess route(const workload::SplashAccess& a) REQUIRES(mu_) {
+    const CoreId c = a.thread;
+    umons_[static_cast<std::size_t>(c)].access(a.block);
+    const core::PageEvent ev = classifier_.on_access(c, addr_of_block(a.block));
+    const bool shared = ev.cls == core::PageClass::kShared;
+
+    MtAccess s;
+    s.a = a;
+    s.mask = all_;
+    s.flip = kind_ == SchemeKind::kDelta && ev.reclassified;
+    switch (kind_) {
+      case SchemeKind::kPrivate:
+        s.bank = c;
+        s.set = mem::set_index(a.block, cfg_.sets_log2);
+        s.coherent = shared;
+        break;
+      default:  // kDelta (and the centralized scheme behaves the same here).
+        if (!shared) {
+          s.bank = ctrl_.bank_for(c, a.block);
+          s.set = mem::set_index(a.block, cfg_.sets_log2);
+          s.mask = ctrl_.insert_mask(c, s.bank);
+          if (s.mask == 0) s.mask = all_;  // Defensive: never bypass here.
+          break;
+        }
+        [[fallthrough]];
+      case SchemeKind::kSnuca:
+        s.bank = mem::snuca_bank(a.block, cfg_.cores);
+        s.set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
+        break;
+    }
+    return s;
+  }
+
+  /// Executes a routed access with the serial semantics — page-flip
+  /// invalidation, then the MESIF coherent path or a plain access through
+  /// the kernel — and records hit/lat.  MCU requests count immediately.
+  void execute(MtAccess& s) REQUIRES(mu_) {
+    const CoreId c = s.a.thread;
+    if (s.flip) page_flip_invalidate(s.a.block);
+    const LlcKernel k = kernel();
+    int mcu = -1;
+    if (!s.coherent) {
+      const LlcAccess r = k.access(s.bank, s.set, s.a.block, c, s.mask, kInvalidCore);
+      s.hit = r.res.hit;
+      s.lat = static_cast<std::uint32_t>(r.lat);
+      mcu = r.mcu;
+    } else {
+      // Private LLC with shared data: replicate locally, keep coherent via
+      // the MESIF directory (write-invalidations remove remote copies).
+      auto& local = banks_[static_cast<std::size_t>(c)];
+      Cycles lat = k.hit_latency(c, s.bank);
+      s.hit = local.contains(s.set, s.a.block) && directory_.is_sharer(c, s.a.block);
+      if (!s.hit) {
+        const mem::CoherenceAction act = s.a.is_write
+                                             ? directory_.on_write(c, s.a.block)
+                                             : directory_.on_read(c, s.a.block);
+        if (act.forwarded && act.forwarder != kInvalidCore)
+          lat += mesh_.round_trip(c, act.forwarder);
+        else
+          lat += k.miss_latency(c, s.a.block, mcu);
+        const auto fill = local.access(s.set, s.a.block, c, all_);
+        if (fill.evicted) directory_.on_evict(c, fill.victim_block);
+      } else {
+        local.touch(s.set, s.a.block);
+        if (s.a.is_write && directory_.on_write(c, s.a.block).invalidations > 0) {
+          for (int peer = 0; peer < cfg_.cores; ++peer)
+            if (peer != c)
+              banks_[static_cast<std::size_t>(peer)].invalidate(s.set, s.a.block);
+        }
+      }
+      s.lat = static_cast<std::uint32_t>(lat);
+    }
+    if (mcu >= 0) memsys_.mcu(mcu).add_requests(1);
+  }
+
+  /// Folds one executed access into its thread's accumulators.
+  void fold(const MtAccess& s) REQUIRES(mu_) {
+    ThreadAcct& t = acct_[static_cast<std::size_t>(s.a.thread)];
+    t.lat_sum += static_cast<double>(s.lat);
+    t.hop_sum += mesh_.hops(s.a.thread, s.bank);
+    ++t.accesses;
+    t.hits += s.hit ? 1 : 0;
+  }
+
+  /// Applies bank `b`'s staged accesses with sequence below `limit`,
+  /// tallying their MCU requests per bank for reduce_epoch.
   ///
   /// Runs on pool workers without mu_: mutual exclusion is structural, not
   /// lock-based — each bank's cache state is touched by exactly one worker
@@ -247,175 +315,30 @@ class MtChip {
   void apply_bank_until(BankId b, std::uint32_t limit) NO_THREAD_SAFETY_ANALYSIS {
     const auto& list = bank_lists_[static_cast<std::size_t>(b)];
     std::uint32_t& cur = bank_cursors_[static_cast<std::size_t>(b)];
-    auto& bank = banks_[static_cast<std::size_t>(b)];
-    const Cycles fixed_lat = cfg_.llc_tag_latency + cfg_.llc_data_latency;
+    auto& mcu_reqs = mcu_reqs_[static_cast<std::size_t>(b)];
+    const LlcKernel k = kernel();
     while (cur < list.size() && list[cur] < limit) {
-      StagedMt& s = staged_[list[cur]];
+      MtAccess& s = staged_[list[cur]];
       ++cur;
-      const auto r = bank.access(s.set, s.a.block, s.a.thread, s.mask);
-      Cycles lat = mesh_.round_trip(s.a.thread, b) + fixed_lat;
-      s.hit = r.hit;
-      if (!r.hit) {
-        const int mcu = memsys_.mcu_for(s.a.block);
-        lat += mesh_.round_trip(b, memsys_.attach_tile(mcu)) +
-               memsys_.mcu(mcu).current_request_latency();
-        ++mcu_reqs_[static_cast<std::size_t>(b)][static_cast<std::size_t>(mcu)];
-      }
-      s.lat = static_cast<std::uint32_t>(lat);
+      const LlcAccess r = k.access(b, s.set, s.a.block, s.a.thread, s.mask, kInvalidCore);
+      s.hit = r.res.hit;
+      s.lat = static_cast<std::uint32_t>(r.lat);
+      if (!r.res.hit) ++mcu_reqs[static_cast<std::size_t>(r.mcu)];
     }
   }
 
-  /// Serially executes coupled access `k` with the exact serial semantics
-  /// (page-flip invalidation, directory protocol), recording lat/hit for
-  /// the sequential reduction instead of bumping ThreadAcct directly.
-  void apply_coupled(std::uint32_t k) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    StagedMt& s = staged_[k];
-    const CoreId c = s.a.thread;
-    if (s.flip) page_flip_invalidate(s.a.block);
-    Cycles lat = mesh_.round_trip(c, s.bank) + cfg_.llc_tag_latency +
-                 cfg_.llc_data_latency;
-    bool hit;
-    if (s.coupled) {
-      auto& local = banks_[static_cast<std::size_t>(c)];
-      hit = local.contains(s.set, s.a.block) && directory_.is_sharer(c, s.a.block);
-      if (!hit) {
-        const mem::CoherenceAction act = s.a.is_write
-                                             ? directory_.on_write(c, s.a.block)
-                                             : directory_.on_read(c, s.a.block);
-        if (act.forwarded && act.forwarder != kInvalidCore) {
-          lat += mesh_.round_trip(c, act.forwarder);
-        } else {
-          const int mcu = memsys_.mcu_for(s.a.block);
-          lat += mesh_.round_trip(c, memsys_.attach_tile(mcu)) +
-                 memsys_.mcu(mcu).request_latency();
-        }
-        const auto fill = local.access(s.set, s.a.block, c, all_);
-        if (fill.evicted) directory_.on_evict(c, fill.victim_block);
-      } else {
-        local.touch(s.set, s.a.block);
-        if (s.a.is_write) {
-          const mem::CoherenceAction act = directory_.on_write(c, s.a.block);
-          if (act.invalidations > 0) {
-            for (int peer = 0; peer < cfg_.cores; ++peer)
-              if (peer != c)
-                banks_[static_cast<std::size_t>(peer)].invalidate(s.set, s.a.block);
-          }
-        }
-      }
-    } else {
-      const auto r = banks_[static_cast<std::size_t>(s.bank)].access(
-          s.set, s.a.block, c, s.mask);
-      hit = r.hit;
-      if (!hit) {
-        const int mcu = memsys_.mcu_for(s.a.block);
-        lat += mesh_.round_trip(s.bank, memsys_.attach_tile(mcu)) +
-               memsys_.mcu(mcu).request_latency();
-      }
-    }
-    s.hit = hit;
-    s.lat = static_cast<std::uint32_t>(lat);
-  }
-
-  /// Folds lat/hops/hit into the per-thread accumulators in global
-  /// sequence order (each ThreadAcct therefore sees its accesses in the
-  /// serial order) and bulk-counts the deferred MCU requests.
+  /// Folds every staged access in global sequence order (each ThreadAcct
+  /// therefore sees its accesses in the serial order) and bulk-counts the
+  /// deferred MCU requests.
   void reduce_epoch() EXCLUDES(mu_) {
     const common::LockGuard lock(mu_);
-    for (const StagedMt& s : staged_) {
-      ThreadAcct& t = acct_[static_cast<std::size_t>(s.a.thread)];
-      t.lat_sum += static_cast<double>(s.lat);
-      t.hop_sum += mesh_.hops(s.a.thread, s.bank);
-      ++t.accesses;
-      t.hits += s.hit ? 1 : 0;
-    }
+    for (const MtAccess& s : staged_) fold(s);
     const int mcus = memsys_.num_mcus();
     for (int m = 0; m < mcus; ++m) {
       std::uint64_t reqs = 0;
       for (const auto& per_bank : mcu_reqs_) reqs += per_bank[static_cast<std::size_t>(m)];
       memsys_.mcu(m).add_requests(reqs);
     }
-  }
-
-  void access_locked(const workload::SplashAccess& a) REQUIRES(mu_) {
-    const CoreId c = a.thread;
-    umons_[static_cast<std::size_t>(c)].access(a.block);
-
-    const core::PageEvent ev = classifier_.on_access(c, addr_of_block(a.block));
-    if (kind_ == SchemeKind::kDelta && ev.reclassified) page_flip_invalidate(a.block);
-
-    BankId bank;
-    std::uint32_t set;
-    mem::WayMask mask = all_;
-    switch (kind_) {
-      case SchemeKind::kSnuca:
-        bank = mem::snuca_bank(a.block, cfg_.cores);
-        set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-        break;
-      case SchemeKind::kPrivate:
-        bank = c;
-        set = mem::set_index(a.block, cfg_.sets_log2);
-        break;
-      default:  // kDelta (and the centralized scheme behaves the same here).
-        if (ev.cls == core::PageClass::kShared) {
-          bank = mem::snuca_bank(a.block, cfg_.cores);
-          set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-        } else {
-          bank = ctrl_.bank_for(c, a.block);
-          set = mem::set_index(a.block, cfg_.sets_log2);
-          mask = ctrl_.insert_mask(c, bank);
-          if (mask == 0) mask = all_;  // Defensive: never bypass here.
-        }
-        break;
-    }
-
-    const int hops = mesh_.hops(c, bank);
-    double lat = static_cast<double>(mesh_.round_trip(c, bank) + cfg_.llc_tag_latency +
-                                     cfg_.llc_data_latency);
-
-    bool hit;
-    if (kind_ == SchemeKind::kPrivate && ev.cls == core::PageClass::kShared) {
-      // Private LLC with shared data: replicate locally, keep coherent via
-      // the MESIF directory (write-invalidations remove remote copies).
-      auto& local = banks_[static_cast<std::size_t>(c)];
-      hit = local.contains(set, a.block) && directory_.is_sharer(c, a.block);
-      if (!hit) {
-        const mem::CoherenceAction act =
-            a.is_write ? directory_.on_write(c, a.block) : directory_.on_read(c, a.block);
-        if (act.forwarded && act.forwarder != kInvalidCore) {
-          lat += static_cast<double>(mesh_.round_trip(c, act.forwarder));
-        } else {
-          const int mcu = memsys_.mcu_for(a.block);
-          lat += static_cast<double>(mesh_.round_trip(c, memsys_.attach_tile(mcu))) +
-                 static_cast<double>(memsys_.mcu(mcu).request_latency());
-        }
-        const auto fill = local.access(set, a.block, c, all_);
-        if (fill.evicted) directory_.on_evict(c, fill.victim_block);
-      } else {
-        local.touch(set, a.block);
-        if (a.is_write) {
-          const mem::CoherenceAction act = directory_.on_write(c, a.block);
-          if (act.invalidations > 0) {
-            for (int peer = 0; peer < cfg_.cores; ++peer)
-              if (peer != c) banks_[static_cast<std::size_t>(peer)].invalidate(set, a.block);
-          }
-        }
-      }
-    } else {
-      const auto r = banks_[static_cast<std::size_t>(bank)].access(set, a.block, c, mask);
-      hit = r.hit;
-      if (!hit) {
-        const int mcu = memsys_.mcu_for(a.block);
-        lat += static_cast<double>(mesh_.round_trip(bank, memsys_.attach_tile(mcu))) +
-               static_cast<double>(memsys_.mcu(mcu).request_latency());
-      }
-    }
-
-    ThreadAcct& t = acct_[static_cast<std::size_t>(c)];
-    t.lat_sum += lat;
-    t.hop_sum += hops;
-    ++t.accesses;
-    t.hits += hit ? 1 : 0;
   }
 
   void page_flip_invalidate(BlockAddr block) REQUIRES(mu_) {
@@ -453,11 +376,11 @@ class MtChip {
   std::uint64_t page_invalidation_lines_ GUARDED_BY(mu_) = 0;
 
   // Staged-engine buffers (reused across epochs).  Deliberately outside
-  // mu_'s jurisdiction: stage_epoch/apply_coupled/reduce_epoch touch them
+  // mu_'s jurisdiction: stage_epoch/apply_staged/reduce_epoch touch them
   // from the driver thread, apply_bank_until from structurally-sharded
   // pool workers (one bank = one worker per segment, driver parked in
   // pool.run) — a discipline the lock annotations cannot express.
-  std::vector<StagedMt> staged_;
+  std::vector<MtAccess> staged_;
   std::vector<std::uint32_t> coupled_;  ///< Sequence numbers, ascending.
   std::vector<std::vector<std::uint32_t>> bank_lists_;  ///< Per bank, ascending.
   std::vector<std::uint32_t> bank_cursors_;
@@ -478,10 +401,7 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
   // cfg.intra_jobs > 1 (or 0 = hardware threads) switches each epoch from
   // the serial access loop to the staged bank-parallel engine; results are
   // byte-identical either way (see MtChip's staged-engine comment).
-  unsigned workers = cfg.intra_jobs <= 0 ? std::thread::hardware_concurrency()
-                                         : static_cast<unsigned>(cfg.intra_jobs);
-  if (workers == 0) workers = 1;
-  workers = std::min(workers, static_cast<unsigned>(cfg.cores));
+  const unsigned workers = resolve_intra_threads(cfg.intra_jobs, cfg.cores);
   std::unique_ptr<WorkerPool> pool;
   if (workers > 1) pool = std::make_unique<WorkerPool>(workers);
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include <cstdarg>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/histogram.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
@@ -233,6 +237,56 @@ TEST(Logger, LevelGate) {
   EXPECT_FALSE(Logger::enabled(LogLevel::kInfo));
   EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
   Logger::set_level(before);
+}
+
+TEST(Args, ParseIntInRangeTable) {
+  constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  struct Case {
+    const char* text;
+    std::int64_t lo, hi;
+    std::optional<std::int64_t> want;
+  };
+  const Case cases[] = {
+      {"300", 1, 1'000'000, 300},
+      {"1", 1, 1'000'000, 1},
+      {"0", 0, 10, 0},
+      {"-3", -5, 5, -3},
+      {"abc", 1, 1'000'000, std::nullopt},    // Not a number.
+      {"", 1, 1'000'000, std::nullopt},       // Flag given without a value.
+      {"12x", 1, 1'000'000, std::nullopt},    // Trailing garbage.
+      {" 12", 1, 1'000'000, std::nullopt},    // Leading space.
+      {"1.5", 1, 1'000'000, std::nullopt},    // Not an integer.
+      {"-5", 1, 1'000'000, std::nullopt},     // Below the range.
+      {"0", 1, 1'000'000, std::nullopt},
+      {"32", 16, 16, std::nullopt},           // Above the range.
+      {"4294967295", 0, kU32Max, kU32Max},    // Exactly at the top.
+      {"99999999999", 0, kU32Max, std::nullopt},
+      {"99999999999999999999", 0, std::numeric_limits<std::int64_t>::max(),
+       std::nullopt},                         // Overflows int64.
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(parse_int_in(c.text, c.lo, c.hi), c.want)
+        << "'" << c.text << "' in [" << c.lo << ", " << c.hi << "]";
+}
+
+std::int64_t get_epochs(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& f : flags) argv.push_back(f.data());
+  return ArgParser(static_cast<int>(argv.size()), argv.data())
+      .get_int_in("epochs", 300, 1, 1'000'000);
+}
+
+TEST(Args, GetIntInDefaultsAndAccepts) {
+  EXPECT_EQ(get_epochs({}), 300);
+  EXPECT_EQ(get_epochs({"--epochs", "10"}), 10);
+  EXPECT_EQ(get_epochs({"--epochs=7"}), 7);
+}
+
+TEST(ArgsDeathTest, GetIntInExitsWithUsageCode) {
+  EXPECT_EXIT(get_epochs({"--epochs", "abc"}), testing::ExitedWithCode(2),
+              "--epochs expects an integer in \\[1, 1000000\\], got 'abc'");
+  EXPECT_EXIT(get_epochs({"--epochs", "-5"}), testing::ExitedWithCode(2), "got '-5'");
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 //
 // Exit status is 0 only when every case is violation-free and the batch is
 // reproducible byte-for-byte across thread counts.  See docs/testing.md.
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -126,20 +128,25 @@ int main(int argc, char** argv) {
   }
   delta::Logger::install_flush_handlers();
 
+  constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMaxThreads = 1024;
+  constexpr std::int64_t kMaxCount = 1'000'000;
   delta::check::FuzzOptions opt;
   opt.base_seed =
-      static_cast<std::uint64_t>(args.get_int("seed-base", 0xF0552));
-  opt.cases = static_cast<int>(args.get_int("seeds", 25));
-  opt.threads = static_cast<unsigned>(args.get_int("threads", 1));
-  opt.intra_jobs = static_cast<int>(args.get_int("intra-jobs", 1));
+      static_cast<std::uint64_t>(args.get_int_in("seed-base", 0xF0552, 0, kMaxSeed));
+  opt.cases = static_cast<int>(args.get_int_in("seeds", 25, 1, kMaxCount));
+  opt.threads = static_cast<unsigned>(args.get_int_in("threads", 1, 0, kMaxThreads));
+  opt.intra_jobs = static_cast<int>(args.get_int_in("intra-jobs", 1, 0, kMaxThreads));
   opt.intra_pin = args.has("intra-pin");
-  opt.sweep_interval = static_cast<int>(args.get_int("sweep-interval", 4));
+  opt.sweep_interval =
+      static_cast<int>(args.get_int_in("sweep-interval", 4, 0, kMaxCount));
   opt.lockstep = !args.has("no-lockstep");
   opt.check_invariants = !args.has("no-invariants");
   opt.differential = !args.has("no-differential") && opt.lockstep;
 
   if (args.has("repro")) {
-    const auto seed = static_cast<std::uint64_t>(args.get_int("repro", 0));
+    const auto seed =
+        static_cast<std::uint64_t>(args.get_int_in("repro", 0, 0, kMaxSeed));
     const auto c = delta::check::run_fuzz_case(seed, opt);
     std::printf("seed %llu mix: %s\n", static_cast<unsigned long long>(seed),
                 c.mix_desc.c_str());

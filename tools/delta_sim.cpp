@@ -13,7 +13,9 @@
 // machine-readable format for scripting sweeps.  The observability flags
 // (--trace-out / --timeline-csv / --json / --obs-level) are documented in
 // docs/observability.md.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,6 +35,11 @@
 namespace {
 
 using namespace delta;
+
+// Sanity ceilings for the range-checked integer flags.
+constexpr std::int64_t kMaxEpochs = 1'000'000;
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
 void list_everything() {
   std::printf("applications (Table III):\n");
@@ -182,20 +189,29 @@ int main(int argc, char** argv) {
   obs::prof::set_level(resolve_prof_level(args));
   Logger::install_flush_handlers();
 
-  sim::MachineConfig cfg =
-      args.get_int("cores", 16) == 64 ? sim::config64() : sim::config16();
-  cfg.measure_epochs = static_cast<int>(args.get_int("epochs", cfg.measure_epochs));
-  cfg.warmup_epochs = static_cast<int>(args.get_int("warmup", cfg.warmup_epochs));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
+  const std::string cores = args.get("cores", "16");
+  if (cores != "16" && cores != "64") {
+    std::fprintf(stderr, "--cores must be 16 or 64, got '%s'\n", cores.c_str());
+    return 2;
+  }
+  sim::MachineConfig cfg = cores == "64" ? sim::config64() : sim::config16();
+  cfg.measure_epochs =
+      static_cast<int>(args.get_int_in("epochs", cfg.measure_epochs, 1, kMaxEpochs));
+  cfg.warmup_epochs =
+      static_cast<int>(args.get_int_in("warmup", cfg.warmup_epochs, 0, kMaxEpochs));
+  cfg.seed = static_cast<std::uint64_t>(
+      args.get_int_in("seed", static_cast<std::int64_t>(cfg.seed), 0,
+                      std::numeric_limits<std::int64_t>::max()));
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
-  cfg.intra_jobs = static_cast<int>(args.get_int("intra-jobs", 1));
+  cfg.intra_jobs = static_cast<int>(args.get_int_in("intra-jobs", 1, 0, kMaxThreads));
   cfg.intra_pin = args.has("intra-pin");
-  cfg.intra_apply_rounds = static_cast<int>(args.get_int("intra-apply-rounds", 0));
+  cfg.intra_apply_rounds =
+      static_cast<int>(args.get_int_in("intra-apply-rounds", 0, 0, kMaxInt));
   // Part of the determinism contract: changing the batch changes results,
   // but serial and intra engines agree at any given value.
-  cfg.interleave_batch =
-      static_cast<std::uint32_t>(args.get_int("interleave-batch", 0));
+  cfg.interleave_batch = static_cast<std::uint32_t>(args.get_int_in(
+      "interleave-batch", 0, 0, std::numeric_limits<std::uint32_t>::max()));
 
   workload::Mix mix;
   if (args.has("apps")) {
@@ -243,7 +259,7 @@ int main(int argc, char** argv) {
   // is exactly the order a serial observed execution emits (nothing in a
   // trace carries wall time), so the exported files match the serial ones.
   const unsigned jobs =
-      static_cast<unsigned>(args.get_int("jobs", 1));
+      static_cast<unsigned>(args.get_int_in("jobs", 1, 0, kMaxThreads));
 
   std::vector<sim::MixResult> results;
   if (scheme == "all") {
