@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
@@ -100,16 +101,21 @@ class ProfScope {
 /// The env override is the one shared knob CI (and anyone scripting every
 /// fig*/table* harness at once) uses to pin the thread count without
 /// editing each invocation.
+///
+/// Either source must hold an integer in [0, 1024]; anything else (`abc`,
+/// `-1`, a missing value) prints a message and exits with code 2.
 inline unsigned parse_jobs(int argc, char** argv, unsigned fallback = 0) {
+  const auto checked = [](const char* source, const char* text) {
+    return static_cast<unsigned>(int_in_or_exit(source, text, 0, 1024));
+  };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc)
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    if (std::strncmp(a, "--jobs=", 7) == 0)
-      return static_cast<unsigned>(std::strtoul(a + 7, nullptr, 10));
+    if (std::strcmp(a, "--jobs") == 0)
+      return checked("--jobs", i + 1 < argc ? argv[i + 1] : "");
+    if (std::strncmp(a, "--jobs=", 7) == 0) return checked("--jobs", a + 7);
   }
   if (const char* env = std::getenv("DELTA_JOBS"); env != nullptr && *env != '\0')
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+    return checked("DELTA_JOBS", env);
   return fallback;
 }
 

@@ -34,12 +34,12 @@
 //                         [--reps N] [--quick]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "legacy_cache.hpp"
@@ -224,7 +224,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (a == "--reps" && i + 1 < argc) reps = std::atoi(argv[++i]);
+    if (a == "--reps") {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      reps = static_cast<int>(int_in_or_exit("--reps", text, 1, 1000));
+    }
     if (a == "--quick") quick = true;
   }
   unsigned jobs = bench::parse_jobs(argc, argv);

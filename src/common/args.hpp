@@ -28,6 +28,33 @@ inline std::optional<std::int64_t> parse_int_in(std::string_view text, std::int6
   return v;
 }
 
+/// parse_int_in for command-line input: the value, or else a message naming
+/// `what` (a flag such as "--epochs", or an environment variable) on stderr
+/// and exit code 2.
+inline std::int64_t int_in_or_exit(const std::string& what, const std::string& text,
+                                   std::int64_t lo, std::int64_t hi) {
+  const std::optional<std::int64_t> v = parse_int_in(text, lo, hi);
+  if (!v) {
+    std::fprintf(stderr, "%s expects an integer in [%lld, %lld], got '%s'\n",
+                 what.c_str(), static_cast<long long>(lo), static_cast<long long>(hi),
+                 text.c_str());
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// `text` as a decimal floating-point number in [lo, hi]; nullopt when it is
+/// not one whole number (empty, trailing characters) or out of range (NaN
+/// and infinities never are in range).
+inline std::optional<double> parse_double_in(std::string_view text, double lo,
+                                             double hi) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) return std::nullopt;
+  return v;
+}
+
 class ArgParser {
  public:
   ArgParser(int argc, char** argv) {
@@ -69,21 +96,27 @@ class ArgParser {
   std::int64_t get_int_in(const std::string& name, std::int64_t def, std::int64_t lo,
                           std::int64_t hi) const {
     auto it = flags_.find(name);
-    if (it == flags_.end()) return def;
-    const std::optional<std::int64_t> v = parse_int_in(it->second, lo, hi);
-    if (!v) {
-      std::fprintf(stderr, "--%s expects an integer in [%lld, %lld], got '%s'\n",
-                   name.c_str(), static_cast<long long>(lo), static_cast<long long>(hi),
-                   it->second.c_str());
-      std::exit(2);
-    }
-    return *v;
+    return it == flags_.end() ? def : int_in_or_exit("--" + name, it->second, lo, hi);
   }
 
   double get_double(const std::string& name, double def) const {
     auto it = flags_.find(name);
     if (it == flags_.end() || it->second.empty()) return def;
     return std::stod(it->second);
+  }
+
+  /// Range-checked get_double, with get_int_in's contract: `def` when the
+  /// flag is absent, else a number in [lo, hi], else a message and exit 2.
+  double get_double_in(const std::string& name, double def, double lo, double hi) const {
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return def;
+    const std::optional<double> v = parse_double_in(it->second, lo, hi);
+    if (!v) {
+      std::fprintf(stderr, "--%s expects a number in [%g, %g], got '%s'\n", name.c_str(),
+                   lo, hi, it->second.c_str());
+      std::exit(2);
+    }
+    return *v;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }

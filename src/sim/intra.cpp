@@ -1,6 +1,7 @@
 #include "sim/intra.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <thread>
@@ -32,6 +33,7 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   stage_claim_ = std::make_unique<std::atomic<std::uint8_t>[]>(cores);
   reduce_claim_ = std::make_unique<std::atomic<std::uint8_t>[]>(cores);
   apply_claim_ = std::make_unique<SeqClaim[]>(cores);
+  mask_words_ = (cores + 63) / 64;
   for (std::size_t c = 0; c < cores; ++c) {
     staged_slices_[c].store(0, std::memory_order_relaxed);
     stage_claim_[c].store(0, std::memory_order_relaxed);
@@ -55,7 +57,7 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
       t.hits.resize(cores);
       t.misses.resize(cores);
       t.mcu_reqs.resize(mcus);
-      t.cursor.resize(cores);
+      t.merge.reserve(cores);
     }
   });
 }
@@ -83,6 +85,13 @@ void IntraEngine::prepare_epoch() {
     for (auto& bank_lists : st.to_bank)
       if (bank_lists.size() < num_slices_) bank_lists.resize(num_slices_);
   }
+  const std::size_t mask_total = cores * num_slices_ * mask_words_;
+  if (mask_total > core_masks_cap_) {
+    core_masks_ = std::make_unique<std::atomic<std::uint64_t>[]>(mask_total);
+    core_masks_cap_ = mask_total;
+  }
+  for (std::size_t i = 0; i < mask_total; ++i)
+    core_masks_[i].store(0, std::memory_order_relaxed);
   for (std::size_t c = 0; c < cores; ++c) {
     staged_slices_[c].store(0, std::memory_order_relaxed);
     stage_claim_[c].store(0, std::memory_order_relaxed);
@@ -132,8 +141,16 @@ void IntraEngine::stage_core(CoreId c) {
     a.block = block;
     a.set = t.set;
     a.bank = static_cast<std::uint16_t>(t.bank);
-    st.to_bank[static_cast<std::size_t>(t.bank)][i / per_slice].push_back(
-        static_cast<std::uint32_t>(i));
+    const std::uint32_t slice = static_cast<std::uint32_t>(i / per_slice);
+    auto& seg = st.to_bank[static_cast<std::size_t>(t.bank)][slice];
+    // First access of this (bank, slice): mark the core active there.  The
+    // slice's watermark release below publishes the bit with the segment.
+    if (seg.empty()) {
+      const std::uint64_t bit = std::uint64_t{1} << (static_cast<unsigned>(c) & 63u);
+      slice_mask(t.bank, slice)[static_cast<std::size_t>(c) >> 6].fetch_or(
+          bit, std::memory_order_relaxed);
+    }
+    seg.push_back(static_cast<std::uint32_t>(i));
     // Publish the slice watermark once its segments are final: appliers
     // acquire it and may then read everything staged below it.
     if ((i + 1) % per_slice == 0)
@@ -145,16 +162,29 @@ void IntraEngine::stage_core(CoreId c) {
 void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
                                    obs::prof::EngineProfile::MergeScratch* ms) {
   const obs::prof::ScopedSite timer(obs::prof::Site::kApplyBank);
-  const int cores = chip_.cores();
   BankTally& tally = tallies_[static_cast<std::size_t>(b)];
   if (slice == 0) {
     std::fill(tally.hits.begin(), tally.hits.end(), 0);
     std::fill(tally.misses.begin(), tally.misses.end(), 0);
     std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
   }
-  // Cursors index into this slice's segments only; the chain resets them
-  // at every slice boundary.
-  std::fill(tally.cursor.begin(), tally.cursor.end(), 0);
+  // Expand the slice's core mask into one cursor per core that staged
+  // anything here, in ascending core order.  The claiming worker's
+  // staged_min() acquire made every bit (and the segments) visible, so
+  // relaxed loads suffice.
+  tally.merge.clear();
+  const std::atomic<std::uint64_t>* const staged_by = slice_mask(b, slice);
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    for (std::uint64_t bits = staged_by[w].load(std::memory_order_relaxed); bits != 0;
+         bits &= bits - 1) {
+      const std::size_t c = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      CoreStage& st = stages_[c];
+      const std::vector<std::uint32_t>& seg =
+          st.to_bank[static_cast<std::size_t>(b)][slice];
+      tally.merge.push_back(
+          {static_cast<CoreId>(c), st.acc.data(), seg.data(), seg.data() + seg.size()});
+    }
+  }
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
   Scheme* const scheme = chip_.scheme_.get();
@@ -174,14 +204,10 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
     // doubling the scan cost.
     const bool sample = ms != nullptr && (ms->rounds & 7u) == 0;
     const std::uint64_t scan_t0 = sample ? obs::prof::now_ns() : 0;
-    // Lowest unconsumed round across all cores (within this slice).
+    // Lowest unconsumed round across the active cores (within this slice).
     std::uint32_t round = UINT32_MAX;
-    for (int c = 0; c < cores; ++c) {
-      const auto& seg = stages_[static_cast<std::size_t>(c)]
-                            .to_bank[static_cast<std::size_t>(b)][slice];
-      const std::size_t cur = tally.cursor[static_cast<std::size_t>(c)];
-      if (cur < seg.size()) round = std::min(round, seg[cur] / kBatch);
-    }
+    for (const MergeCursor& m : tally.merge)
+      if (m.next != m.end) round = std::min(round, *m.next / kBatch);
     if (ms != nullptr) {
       ++ms->rounds;
       if (sample) {
@@ -191,16 +217,15 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
     }
     if (round == UINT32_MAX) break;
 
-    for (int c = 0; c < cores; ++c) {
-      CoreStage& st = stages_[static_cast<std::size_t>(c)];
-      const auto& seg = st.to_bank[static_cast<std::size_t>(b)][slice];
-      std::size_t& cur = tally.cursor[static_cast<std::size_t>(c)];
-      while (cur < seg.size() && seg[cur] / kBatch == round) {
-        Staged& a = st.acc[seg[cur]];
-        ++cur;
+    // Ascending core order within the round keeps the canonical order.
+    for (MergeCursor& m : tally.merge) {
+      const CoreId c = m.core;
+      while (m.next != m.end && *m.next / kBatch == round) {
+        Staged& a = m.acc[*m.next];
+        ++m.next;
         // Pull the next staged access's set rows toward L1 while this one
         // computes its masks and latency (hint only — no state change).
-        if (cur < seg.size()) bank.prefetch_set(st.acc[seg[cur]].set);
+        if (m.next != m.end) bank.prefetch_set(m.acc[*m.next].set);
         const mem::WayMask mask = scheme->insert_mask(chip_, c, b);
         const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
         const LlcAccess r = kernel.access(b, a.set, a.block, c, mask, evict_pref);

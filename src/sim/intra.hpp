@@ -16,7 +16,10 @@
 //     ascending core order.  After each slice's segment is complete the
 //     stager publishes a per-core watermark (release store), so appliers
 //     can chase right behind it — segments already published are never
-//     written again, which is what makes the overlap data-race-free.
+//     written again, which is what makes the overlap data-race-free.  The
+//     first push into a (bank, slice) segment also sets the core's bit in
+//     that (bank, slice)'s core mask (relaxed fetch_or, ceil(cores/64)
+//     words); the same watermark release publishes the bit.
 //
 //   Apply tasks — one per (bank, slice).  The slices of one bank form a
 //     sequential chain guarded by a SeqClaim word (common/parallel.hpp):
@@ -26,7 +29,11 @@
 //     partition's imbalance.  Within a slice the merge walks the canonical
 //     serial order — ascending (round, core, index) with round = index /
 //     interleave_batch() — so each bank sees the exact serial access
-//     sequence no matter which workers ran its slices.  insert_mask() /
+//     sequence no matter which workers ran its slices.  The merge is
+//     sparse: the slice's core mask expands once into an ascending list of
+//     the cores that staged anything for it, and every round walks only
+//     that list (DELTA keeps each app's lines in a few nearby banks, so it
+//     is typically one or two cores, not all of them).  insert_mask() /
 //     evict_preference() / on_insertion() touch only bank-local or
 //     epoch-constant scheme state (scheme.hpp contract); the slice chain
 //     orders all writes to one bank.  Each access is charged by the same
@@ -106,6 +113,15 @@ class IntraEngine {
     std::vector<std::vector<std::vector<std::uint32_t>>> to_bank;
   };
 
+  /// The merge's read position in one active core's segment of the slice
+  /// being applied.
+  struct MergeCursor {
+    CoreId core = 0;
+    Staged* acc = nullptr;                ///< The core's stream.
+    const std::uint32_t* next = nullptr;  ///< First unconsumed index.
+    const std::uint32_t* end = nullptr;   ///< End of the segment.
+  };
+
   /// Per-bank integer tallies, reused across epochs.  Written only by the
   /// bank's apply-slice chain (SeqClaim-ordered), read by the owner after
   /// the section.
@@ -113,7 +129,8 @@ class IntraEngine {
     std::vector<std::uint64_t> hits;      ///< Per core.
     std::vector<std::uint64_t> misses;    ///< Per core.
     std::vector<std::uint64_t> mcu_reqs;  ///< Per MCU.
-    std::vector<std::size_t> cursor;      ///< Merge scratch, per core.
+    /// Merge scratch: one cursor per core active in the slice, ascending.
+    std::vector<MergeCursor> merge;
   };
 
   /// Per-worker scheduler accounting, folded into the engine-health
@@ -145,6 +162,12 @@ class IntraEngine {
   /// calling thread — a cached cross-thread minimum would not carry the
   /// happens-before edges).
   std::uint32_t staged_min() const;
+  /// The mask_words_ words of (bank, slice)'s core mask: bit c is set once
+  /// core c has staged an access for that bank during that slice.
+  std::atomic<std::uint64_t>* slice_mask(BankId b, std::uint32_t slice) const {
+    const std::size_t row = static_cast<std::size_t>(b) * num_slices_ + slice;
+    return &core_masks_[row * mask_words_];
+  }
 
   /// Owner-side per-epoch reset: slice geometry, claim words, watermarks.
   void prepare_epoch();
@@ -169,6 +192,11 @@ class IntraEngine {
   std::unique_ptr<std::atomic<std::uint8_t>[]> stage_claim_;     ///< Per core.
   std::unique_ptr<std::atomic<std::uint8_t>[]> reduce_claim_;    ///< Per core.
   std::unique_ptr<SeqClaim[]> apply_claim_;                      ///< Per bank.
+  /// Per (bank, slice): mask_words_ words of core bits, zeroed by the owner
+  /// each epoch; see slice_mask().  Capacity only grows.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> core_masks_;
+  std::size_t core_masks_cap_ = 0;  ///< Words allocated in core_masks_.
+  std::size_t mask_words_ = 1;      ///< ceil(cores / 64).
   std::atomic<std::uint32_t> stage_done_{0};  ///< Cores fully staged.
   std::atomic<std::uint32_t> banks_done_{0};  ///< Banks fully applied.
   std::atomic<bool> failed_{false};           ///< A task threw; drain spins.

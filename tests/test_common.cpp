@@ -8,6 +8,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <utility>
 
 #include "common/args.hpp"
 #include "common/histogram.hpp"
@@ -269,12 +270,43 @@ TEST(Args, ParseIntInRangeTable) {
         << "'" << c.text << "' in [" << c.lo << ", " << c.hi << "]";
 }
 
-std::int64_t get_epochs(std::vector<std::string> flags) {
+TEST(Args, ParseDoubleInRangeTable) {
+  struct Case {
+    const char* text;
+    double lo, hi;
+    std::optional<double> want;
+  };
+  const Case cases[] = {
+      {"1", 0.1, 1e5, 1.0},
+      {"0.5", 0.1, 1e5, 0.5},
+      {"0.1", 0.1, 1e5, 0.1},                 // Exactly at the bottom.
+      {"100000", 0.1, 1e5, 1e5},              // Exactly at the top.
+      {"2.5e1", 0.1, 1e5, 25.0},
+      {"abc", 0.1, 1e5, std::nullopt},        // Not a number.
+      {"", 0.1, 1e5, std::nullopt},           // Flag given without a value.
+      {"1.5ms", 0.1, 1e5, std::nullopt},      // Trailing garbage.
+      {"0", 0.1, 1e5, std::nullopt},          // Below the range.
+      {"-1", 0.1, 1e5, std::nullopt},
+      {"0.05", 0.1, 1e5, std::nullopt},
+      {"100001", 0.1, 1e5, std::nullopt},     // Above the range.
+      {"nan", 0.1, 1e5, std::nullopt},
+      {"inf", 0.1, 1e5, std::nullopt},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(parse_double_in(c.text, c.lo, c.hi), c.want)
+        << "'" << c.text << "' in [" << c.lo << ", " << c.hi << "]";
+}
+
+// An ArgParser over `flags`, given after a program name.
+ArgParser parse_flags(std::vector<std::string> flags) {
   flags.insert(flags.begin(), "prog");
   std::vector<char*> argv;
   for (auto& f : flags) argv.push_back(f.data());
-  return ArgParser(static_cast<int>(argv.size()), argv.data())
-      .get_int_in("epochs", 300, 1, 1'000'000);
+  return ArgParser(static_cast<int>(argv.size()), argv.data());
+}
+
+std::int64_t get_epochs(std::vector<std::string> flags) {
+  return parse_flags(std::move(flags)).get_int_in("epochs", 300, 1, 1'000'000);
 }
 
 TEST(Args, GetIntInDefaultsAndAccepts) {
@@ -287,6 +319,25 @@ TEST(ArgsDeathTest, GetIntInExitsWithUsageCode) {
   EXPECT_EXIT(get_epochs({"--epochs", "abc"}), testing::ExitedWithCode(2),
               "--epochs expects an integer in \\[1, 1000000\\], got 'abc'");
   EXPECT_EXIT(get_epochs({"--epochs", "-5"}), testing::ExitedWithCode(2), "got '-5'");
+}
+
+double get_central_ms(std::vector<std::string> flags) {
+  return parse_flags(std::move(flags)).get_double_in("central-ms", 1.0, 0.1, 1e5);
+}
+
+TEST(Args, GetDoubleInDefaultsAndAccepts) {
+  EXPECT_EQ(get_central_ms({}), 1.0);
+  EXPECT_EQ(get_central_ms({"--central-ms", "0.5"}), 0.5);
+  EXPECT_EQ(get_central_ms({"--central-ms=100"}), 100.0);
+}
+
+TEST(ArgsDeathTest, GetDoubleInExitsWithUsageCode) {
+  EXPECT_EXIT(get_central_ms({"--central-ms", "abc"}), testing::ExitedWithCode(2),
+              "--central-ms expects a number in \\[0.1, 100000\\], got 'abc'");
+  EXPECT_EXIT(get_central_ms({"--central-ms", "0"}), testing::ExitedWithCode(2),
+              "got '0'");
+  EXPECT_EXIT(get_central_ms({"--central-ms", "-1"}), testing::ExitedWithCode(2),
+              "got '-1'");
 }
 
 }  // namespace

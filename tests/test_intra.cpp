@@ -121,6 +121,20 @@ TEST(Intra, ByteIdenticalAcrossApplySliceSizes) {
     EXPECT_EQ(serial, run_summary(cfg, "w2", sim::SchemeKind::kDelta))
         << "intra_apply_rounds " << rounds << " diverged";
   }
+  // 64 tiles exercise the per-(bank, slice) core masks of the sparse merge
+  // at their edges.  DELTA keeps each app near its home bank, so masks are
+  // sparse and change from slice to slice; S-NUCA spreads every core over
+  // every bank, so masks are dense up to core 63, the last bit of the word.
+  for (const sim::SchemeKind kind : {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca}) {
+    const std::string serial64 = run_summary(quick64(1), "w13", kind);
+    for (const int rounds : {1, 3, 1000}) {
+      sim::MachineConfig cfg = quick64(4);
+      cfg.intra_apply_rounds = rounds;
+      EXPECT_EQ(serial64, run_summary(cfg, "w13", kind))
+          << "64-tile " << sim::to_string(kind) << " intra_apply_rounds " << rounds
+          << " diverged";
+    }
+  }
 }
 
 TEST(Intra, MtSimStagedEngineByteIdentical) {

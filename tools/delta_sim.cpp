@@ -237,7 +237,10 @@ int main(int argc, char** argv) {
   }
 
   sim::SchemeOptions opts;
-  opts.central_interval_epochs = static_cast<int>(args.get_double("central-ms", 1.0) * 10);
+  // One epoch is 0.1 ms; a shorter interval would truncate to zero epochs
+  // and silently switch the ideal scheme's reconfiguration off.
+  opts.central_interval_epochs = static_cast<int>(
+      args.get_double_in("central-ms", 1.0, 0.1, kMaxEpochs / 10.0) * 10);
 
   const bool wants_obs = args.has("trace-out") || args.has("timeline-csv") ||
                          args.has("json") || args.has("obs-level") ||
