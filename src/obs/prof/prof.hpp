@@ -69,7 +69,6 @@ enum class Phase : std::uint8_t {
   kSerialTail,    ///< Intra serial integer-tally reduction.
   kBarrier,       ///< Done-barrier wait inside a worker section.
   kSweepJob,      ///< One run_sweep job (a whole simulation).
-  kMtApply,       ///< mt_sim staged-epoch application.
   kCount
 };
 

@@ -37,12 +37,13 @@ struct MachineConfig {
 
   std::uint64_t seed = 0xDE17A;
 
-  /// Worker threads for the intra-run epoch engine (sim/intra.hpp): 1 runs
-  /// the classic serial loop, N > 1 shards each epoch over N threads, 0
-  /// means auto (hardware threads standalone; the leftover thread budget
-  /// when nested under a sweep — see runner.hpp).  Results are
-  /// byte-identical for every value; this knob trades wall-clock only and
-  /// therefore never appears in reports or JSON output.
+  /// Worker threads for Chip's intra-run epoch engine (sim/intra.hpp): 1
+  /// runs the classic serial loop, N > 1 shards each epoch over N threads,
+  /// 0 means auto (hardware threads standalone; the leftover thread budget
+  /// when nested under a sweep — see runner.hpp).  run_multithreaded
+  /// ignores it and always runs serially.  Results are byte-identical for
+  /// every value; this knob trades wall-clock only and therefore never
+  /// appears in reports or JSON output.
   int intra_jobs = 1;
 
   /// Pin intra-engine workers (and the driving thread) to CPUs via

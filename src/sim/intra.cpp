@@ -454,16 +454,12 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
   profile_.count_epoch(/*pool_sections=*/1, tasks, stolen, ranges, overlapped);
 }
 
-unsigned resolve_intra_threads(int intra_jobs, int cores) {
+std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs) {
   unsigned n = intra_jobs <= 0 ? std::thread::hardware_concurrency()
                                : static_cast<unsigned>(intra_jobs);
-  if (n == 0) n = 1;
-  // More shards than banks cannot help.
-  return std::min(n, static_cast<unsigned>(cores));
-}
-
-std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs) {
-  const unsigned n = resolve_intra_threads(intra_jobs, chip.cores());
+  // More shards than banks cannot help.  An unknown hardware count (0)
+  // also means no engine.
+  n = std::min(n, static_cast<unsigned>(chip.cores()));
   if (n <= 1) return nullptr;
   return std::make_unique<IntraEngine>(chip, n);
 }

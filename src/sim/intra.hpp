@@ -206,13 +206,9 @@ class IntraEngine {
   obs::prof::EngineProfile profile_;
 };
 
-/// Host threads a `cores`-tile simulation runs with for `intra_jobs`
-/// (MachineConfig::intra_jobs): 0 means every hardware thread, the count is
-/// clamped to `cores`, and 1 means the serial loop.  Chip's intra engine
-/// and run_multithreaded's staged engine both size themselves with it.
-unsigned resolve_intra_threads(int intra_jobs, int cores);
-
-/// The engine for `intra_jobs`, or null when it resolves to one thread.
+/// The engine for `intra_jobs` (MachineConfig::intra_jobs), or null when it
+/// resolves to one thread: 0 means every hardware thread, and the count is
+/// clamped to the chip's cores.
 std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs);
 
 }  // namespace delta::sim

@@ -2,8 +2,8 @@
 // An access costs the NoC round trip from the core to the bank plus tag and
 // data latency; a miss adds the round trip from the bank to the line's
 // memory controller plus its DRAM + queueing latency (DESIGN.md §5).  Chip's
-// serial loop, the intra engine's apply step and every run_multithreaded
-// path charge accesses here.
+// serial loop, the intra engine's apply step and run_multithreaded's access
+// loop charge accesses here.
 //
 // A miss is priced with the controller's epoch-constant
 // current_request_latency(); the kernel only reports which controller it

@@ -1,17 +1,15 @@
 // Integrated multithreaded simulation: MtChip executes the Sec. II-E design
-// (see mt_sim.hpp).  Every access is routed once (route()) and executed
-// once (execute(), or the staged engine's bank-parallel apply); all LLC
-// access costs come from the LLC access kernel (sim/llc_kernel.hpp), the
-// one place the per-access cost model lives.
+// (see mt_sim.hpp) on one serial access loop.  Every access is routed once
+// (route()) and executed once (execute()); all LLC access costs come from
+// the LLC access kernel (sim/llc_kernel.hpp), the one place the per-access
+// cost model lives.
 #include "sim/mt_sim.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/sync.hpp"
 #include "core/controller.hpp"
 #include "core/page_classify.hpp"
@@ -20,8 +18,6 @@
 #include "mem/directory.hpp"
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
-#include "obs/prof/prof.hpp"
-#include "sim/intra.hpp"
 #include "sim/llc_kernel.hpp"
 
 namespace delta::sim {
@@ -63,11 +59,6 @@ class MtChip {
           &umons_[static_cast<std::size_t>(c)], p_.mlp, c < p_.threads,
           /*process_id=*/1};
     }
-    bank_lists_.resize(static_cast<std::size_t>(cfg_.cores));
-    bank_cursors_.resize(static_cast<std::size_t>(cfg_.cores));
-    mcu_reqs_.assign(static_cast<std::size_t>(cfg_.cores),
-                     std::vector<std::uint64_t>(
-                         static_cast<std::size_t>(memsys_.num_mcus())));
   }
 
   /// Runs the distributed policy step at an epoch boundary (kDelta only).
@@ -133,76 +124,9 @@ class MtChip {
     res.page_invalidation_lines = page_invalidation_lines_;
   }
 
-  // ---- Staged epoch engine (cfg.intra_jobs > 1). ----
-  //
-  // The serial loop issues `budget` rounds of one access per logical
-  // thread, each routed and executed in global draw order.  The staged
-  // engine reproduces that computation the same way sim::IntraEngine does
-  // for Chip, with one extra wrinkle: two access classes couple banks
-  // together mid-epoch —
-  //   * a kDelta page reclassification bulk-invalidates the page across
-  //     every bank before the access proceeds;
-  //   * a kPrivate shared-page access goes through the MESIF directory and
-  //     may invalidate remote copies.
-  // Those run through execute() serially at their exact sequence position;
-  // the runs of bank-confined accesses between them are applied
-  // bank-parallel, each bank walking its staged indices in ascending
-  // sequence order (which is the serial order as seen by that bank).
-  // Latencies are written back per access and folded into the per-thread
-  // double accumulators in global sequence order afterwards, so each
-  // ThreadAcct sees its own accesses in exactly the serial order.
-
-  /// Draws and routes one epoch's accesses (budget rounds x threads) in
-  /// global order.  Page classification and UMON updates happen here, on
-  /// the staging thread, exactly as the serial loop ordered them.
-  void stage_epoch(workload::SplashGen& gen, std::uint64_t budget) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    staged_.clear();
-    coupled_.clear();
-    for (auto& list : bank_lists_) list.clear();
-    std::fill(bank_cursors_.begin(), bank_cursors_.end(), 0u);
-    for (auto& per_bank : mcu_reqs_)
-      std::fill(per_bank.begin(), per_bank.end(), 0u);
-    staged_.reserve(budget * static_cast<std::uint64_t>(p_.threads));
-
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      for (int t = 0; t < p_.threads; ++t) {
-        const MtAccess s = route(gen.next());
-        const auto seq = static_cast<std::uint32_t>(staged_.size());
-        if (s.coherent || s.flip)
-          coupled_.push_back(seq);
-        else
-          bank_lists_[static_cast<std::size_t>(s.bank)].push_back(seq);
-        staged_.push_back(s);
-      }
-    }
-  }
-
-  /// Applies the staged epoch: bank-parallel segments between coupling
-  /// points, coupling points serial, then the sequential stat reduction.
-  void apply_staged(WorkerPool& pool, std::uint64_t epoch) EXCLUDES(mu_) {
-    const obs::prof::ScopedSpan span(obs::prof::Phase::kMtApply, epoch);
-    const unsigned parties = pool.parties();
-    const std::size_t cores = static_cast<std::size_t>(cfg_.cores);
-    const auto run_segment = [&](std::uint32_t limit) {
-      pool.run([&](unsigned w) {
-        const IndexRange r = static_partition(cores, parties, w);
-        for (std::size_t b = r.begin; b < r.end; ++b)
-          apply_bank_until(static_cast<BankId>(b), limit);
-      });
-    };
-    for (const std::uint32_t k : coupled_) {
-      run_segment(k);
-      const common::LockGuard lock(mu_);
-      execute(staged_[k]);
-    }
-    run_segment(static_cast<std::uint32_t>(staged_.size()));
-    reduce_epoch();
-  }
-
  private:
-  /// One mt access.  route() fills the routing fields; execute() (or the
-  /// staged engine's bank-parallel apply) fills hit/lat.
+  /// One mt access.  route() fills the routing fields; execute() fills
+  /// hit/lat.
   struct MtAccess {
     workload::SplashAccess a;
     BankId bank = 0;
@@ -303,44 +227,6 @@ class MtChip {
     t.hits += s.hit ? 1 : 0;
   }
 
-  /// Applies bank `b`'s staged accesses with sequence below `limit`,
-  /// tallying their MCU requests per bank for reduce_epoch.
-  ///
-  /// Runs on pool workers without mu_: mutual exclusion is structural, not
-  /// lock-based — each bank's cache state is touched by exactly one worker
-  /// per segment, the driver thread is parked inside pool.run(), and MCU /
-  /// controller state is only read through epoch-constant accessors.  The
-  /// annotation analysis cannot express that sharding, hence the escape
-  /// hatch; the TSan CI job checks it dynamically.
-  void apply_bank_until(BankId b, std::uint32_t limit) NO_THREAD_SAFETY_ANALYSIS {
-    const auto& list = bank_lists_[static_cast<std::size_t>(b)];
-    std::uint32_t& cur = bank_cursors_[static_cast<std::size_t>(b)];
-    auto& mcu_reqs = mcu_reqs_[static_cast<std::size_t>(b)];
-    const LlcKernel k = kernel();
-    while (cur < list.size() && list[cur] < limit) {
-      MtAccess& s = staged_[list[cur]];
-      ++cur;
-      const LlcAccess r = k.access(b, s.set, s.a.block, s.a.thread, s.mask, kInvalidCore);
-      s.hit = r.res.hit;
-      s.lat = static_cast<std::uint32_t>(r.lat);
-      if (!r.res.hit) ++mcu_reqs[static_cast<std::size_t>(r.mcu)];
-    }
-  }
-
-  /// Folds every staged access in global sequence order (each ThreadAcct
-  /// therefore sees its accesses in the serial order) and bulk-counts the
-  /// deferred MCU requests.
-  void reduce_epoch() EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    for (const MtAccess& s : staged_) fold(s);
-    const int mcus = memsys_.num_mcus();
-    for (int m = 0; m < mcus; ++m) {
-      std::uint64_t reqs = 0;
-      for (const auto& per_bank : mcu_reqs_) reqs += per_bank[static_cast<std::size_t>(m)];
-      memsys_.mcu(m).add_requests(reqs);
-    }
-  }
-
   void page_flip_invalidate(BlockAddr block) REQUIRES(mu_) {
     // Bulk-invalidate every line of the flipped page wherever it resides
     // (paper Sec. II-E: "when a page is first classified as shared all the
@@ -375,16 +261,6 @@ class MtChip {
   std::vector<ThreadAcct> acct_ GUARDED_BY(mu_);
   std::uint64_t page_invalidation_lines_ GUARDED_BY(mu_) = 0;
 
-  // Staged-engine buffers (reused across epochs).  Deliberately outside
-  // mu_'s jurisdiction: stage_epoch/apply_staged/reduce_epoch touch them
-  // from the driver thread, apply_bank_until from structurally-sharded
-  // pool workers (one bank = one worker per segment, driver parked in
-  // pool.run) — a discipline the lock annotations cannot express.
-  std::vector<MtAccess> staged_;
-  std::vector<std::uint32_t> coupled_;  ///< Sequence numbers, ascending.
-  std::vector<std::vector<std::uint32_t>> bank_lists_;  ///< Per bank, ascending.
-  std::vector<std::uint32_t> bank_cursors_;
-  std::vector<std::vector<std::uint64_t>> mcu_reqs_;  ///< [bank][mcu] deferred.
 };
 
 }  // namespace
@@ -397,13 +273,6 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
   MtResult res;
   res.app = p.name;
   res.scheme = std::string(to_string(kind));
-
-  // cfg.intra_jobs > 1 (or 0 = hardware threads) switches each epoch from
-  // the serial access loop to the staged bank-parallel engine; results are
-  // byte-identical either way (see MtChip's staged-engine comment).
-  const unsigned workers = resolve_intra_threads(cfg.intra_jobs, cfg.cores);
-  std::unique_ptr<WorkerPool> pool;
-  if (workers > 1) pool = std::make_unique<WorkerPool>(workers);
 
   // Access budget per epoch per thread from the interval model.
   double cpi_est = p.cpi_base + p.apki / 1000.0 * 100.0 / p.mlp;
@@ -418,13 +287,8 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
             1, static_cast<std::uint64_t>(static_cast<double>(cfg.epoch_cycles) /
                                           cpi_est * p.apki / 1000.0)),
         total_per_thread - issued_per_thread);
-    if (pool != nullptr) {
-      chip.stage_epoch(gen, budget);
-      chip.apply_staged(*pool, epoch);
-    } else {
-      for (std::uint64_t i = 0; i < budget; ++i)
-        for (int t = 0; t < p.threads; ++t) chip.access(gen.next());
-    }
+    for (std::uint64_t i = 0; i < budget; ++i)
+      for (int t = 0; t < p.threads; ++t) chip.access(gen.next());
     issued_per_thread += budget;
     chip.end_epoch();
 

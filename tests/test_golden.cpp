@@ -135,8 +135,8 @@ TEST(Golden, MultithreadedSplash) {
   for (const MtGolden& g : kMtGolden) {
     const auto& p = workload::splash_profile(g.app);
     for (std::size_t i = 0; i < std::size(kMtKinds); ++i) {
-      // The serial loop and the staged bank-parallel engine must both land
-      // on the recorded row.
+      // run_multithreaded always runs its serial loop: intra_jobs selects
+      // Chip's engine only and must not move an mt result.
       for (const int jobs : {1, 2}) {
         sim::MachineConfig cfg = sim::config16();
         cfg.intra_jobs = jobs;

@@ -1,8 +1,8 @@
-// Intra-run engine determinism: the bank-sharded parallel epoch engine
-// (sim/intra.hpp, MtChip's staged mode) must be byte-identical to the
-// serial loop at every thread count.  These tests compare full JSON
-// summaries — every per-app double, traffic counter and control-message
-// count — because "close" is not the contract; bit-equal is.
+// Intra-run engine determinism: Chip's bank-sharded parallel epoch engine
+// (sim/intra.hpp) must be byte-identical to the serial loop at every thread
+// count.  These tests compare full JSON summaries — every per-app double,
+// traffic counter and control-message count — because "close" is not the
+// contract; bit-equal is.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,10 +13,8 @@
 #include "check/fuzz.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
-#include "sim/mt_sim.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
-#include "workload/splash.hpp"
 
 namespace delta {
 namespace {
@@ -134,34 +132,6 @@ TEST(Intra, ByteIdenticalAcrossApplySliceSizes) {
           << "64-tile " << sim::to_string(kind) << " intra_apply_rounds " << rounds
           << " diverged";
     }
-  }
-}
-
-TEST(Intra, MtSimStagedEngineByteIdentical) {
-  // The staged mt engine has extra coupling points (page flips, directory
-  // traffic), so every scheme kind exercises a different segmentation.
-  sim::MtConfig mtc;
-  mtc.accesses_per_thread = 20'000;
-  for (const sim::SchemeKind kind :
-       {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca,
-        sim::SchemeKind::kPrivate}) {
-    const auto& p = workload::splash_profile("cholesky");
-    sim::MachineConfig serial_cfg = sim::config16();
-    serial_cfg.intra_jobs = 1;
-    sim::MachineConfig par_cfg = sim::config16();
-    par_cfg.intra_jobs = 4;
-    const sim::MtResult a = sim::run_multithreaded(serial_cfg, p, kind, mtc);
-    const sim::MtResult b = sim::run_multithreaded(par_cfg, p, kind, mtc);
-    // Bit-equal doubles, not EXPECT_NEAR: the engine preserves FP order.
-    EXPECT_EQ(a.roi_cycles, b.roi_cycles) << sim::to_string(kind);
-    EXPECT_EQ(a.mean_ipc, b.mean_ipc) << sim::to_string(kind);
-    EXPECT_EQ(a.miss_rate, b.miss_rate) << sim::to_string(kind);
-    EXPECT_EQ(a.mean_hops, b.mean_hops) << sim::to_string(kind);
-    EXPECT_EQ(a.private_pages, b.private_pages) << sim::to_string(kind);
-    EXPECT_EQ(a.shared_pages, b.shared_pages) << sim::to_string(kind);
-    EXPECT_EQ(a.reclassifications, b.reclassifications) << sim::to_string(kind);
-    EXPECT_EQ(a.page_invalidation_lines, b.page_invalidation_lines)
-        << sim::to_string(kind);
   }
 }
 

@@ -13,6 +13,10 @@
 // machine-readable format for scripting sweeps.  The observability flags
 // (--trace-out / --timeline-csv / --json / --obs-level) are documented in
 // docs/observability.md.
+//
+// Exit codes: 0 on success (and for --help), 2 for bad input (an unknown
+// flag, scheme, mix, app or level, or an out-of-range number), 1 when an
+// output file cannot be written.
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -92,7 +96,7 @@ obs::ObsLevel resolve_obs_level(const ArgParser& args) {
     if (lvl == "full") return obs::ObsLevel::kFull;
     std::fprintf(stderr, "unknown --obs-level '%s' (off|summary|timeline|full)\n",
                  lvl.c_str());
-    std::exit(1);
+    std::exit(2);
   }
   if (args.has("trace-out")) return obs::ObsLevel::kFull;
   // The prof flamegraph merges policy events into the span timeline, so the
@@ -117,7 +121,7 @@ obs::prof::ProfLevel resolve_prof_level(const ArgParser& args) {
     if (!obs::prof::parse_prof_level(args.get("prof-level"), &lvl)) {
       std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
                    args.get("prof-level").c_str());
-      std::exit(1);
+      std::exit(2);
     }
     return lvl;
   }
@@ -174,7 +178,7 @@ int main(int argc, char** argv) {
                  "                 [--metrics-out m.json|m.prom]   (metrics "
                  "dump; .prom = Prometheus text)\n"
                  "                 [--prof-level off|phases|full]\n");
-    return args.has("help") ? 0 : 1;
+    return args.has("help") ? 0 : 2;
   }
   if (args.has("list")) {
     list_everything();
@@ -219,12 +223,12 @@ int main(int argc, char** argv) {
     mix.apps = split_csv(args.get("apps"));
     if (static_cast<int>(mix.apps.size()) != cfg.cores) {
       std::fprintf(stderr, "--apps needs exactly %d entries\n", cfg.cores);
-      return 1;
+      return 2;
     }
     for (const auto& a : mix.apps) {
       if (!workload::has_spec_profile(a) && a != "idle") {
         std::fprintf(stderr, "unknown app '%s' (try --list)\n", a.c_str());
-        return 1;
+        return 2;
       }
     }
   } else {
@@ -232,7 +236,7 @@ int main(int argc, char** argv) {
       mix = sim::mix_for_config(cfg, args.get("mix", "w2"));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s (try --list)\n", e.what());
-      return 1;
+      return 2;
     }
   }
 
@@ -315,7 +319,7 @@ int main(int argc, char** argv) {
       kind = sim::SchemeKind::kLfoc;
     } else {
       std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
-      return 1;
+      return 2;
     }
     const sim::MixResult r = sim::run_mix(cfg, mix, kind, opts, observer.get());
     print_result(r, nullptr, csv, text_out);
