@@ -286,10 +286,9 @@ class Linter {
     }
   }
 
-  /// Raw OS thread-affinity API outside the portability shim.  Every
-  /// affinity call must live in src/common/affinity.hpp so the no-op
-  /// fallback keeps covering the whole codebase and platform-specific
-  /// pinning never leaks into the engine (docs/performance.md).
+  /// Raw OS thread-affinity API.  The engine leaves thread placement to the
+  /// OS (docs/performance.md "Tuning knobs"); the src/common/affinity.hpp
+  /// exemption is kept but matches no file.
   void check_raw_affinity() {
     if (info_.path_label.find("src/common/affinity.hpp") != std::string::npos)
       return;

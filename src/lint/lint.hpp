@@ -23,9 +23,10 @@
 //                     job and the bit-identity contract it enforces
 //   raw-affinity      raw OS thread-affinity API (pthread_setaffinity_np,
 //                     sched_setaffinity, cpu_set_t, sched_getcpu, <sched.h>)
-//                     anywhere but src/common/affinity.hpp, the single
-//                     portability shim — scattered affinity calls skip its
-//                     no-op fallback and tie code to one platform
+//                     anywhere under src/ — the engine leaves thread
+//                     placement to the OS, and affinity calls tie code to
+//                     one platform.  The src/common/affinity.hpp exemption
+//                     is kept but matches no file
 //   ptr-key           pointer-keyed ordered containers (std::map<T*, ...>):
 //                     ordered by allocation addresses, i.e. by ASLR
 //   naked-new         naked new/delete — owning raw pointers; use values,

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdarg>
@@ -14,18 +13,6 @@ namespace {
 /// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
 constexpr double kUsPerEpoch = 100.0;
 
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
 void append_counter(std::string& out, std::uint32_t run, double ts,
                     const std::string& name, const char* key, double value) {
   appendf(out, "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,\"ts\":%.1f,"
@@ -34,6 +21,25 @@ void append_counter(std::string& out, std::uint32_t run, double ts,
 }
 
 }  // namespace
+
+void appendf(std::string& out, const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  va_list again;
+  va_copy(again, ap);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_end(ap);
+  if (n > 0 && static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else if (n > 0) {
+    const std::size_t old = out.size();
+    out.resize(old + static_cast<std::size_t>(n));
+    // Writes n characters plus the NUL the string already keeps at size().
+    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, again);
+  }
+  va_end(again);
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

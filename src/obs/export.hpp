@@ -25,6 +25,14 @@ std::string json_escape(std::string_view s);
 /// Finite-checked JSON number formatting (%.6g; NaN/Inf become 0).
 std::string json_num(double x);
 
+/// printf-style append to `out`.  Never truncates: output longer than the
+/// stack buffer is formatted again straight into `out` at its full length.
+void appendf(std::string& out, const char* fmt, ...)
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((format(printf, 2, 3)))
+#endif
+    ;
+
 /// Header row of timeline_csv(), without the trailing newline.
 std::string timeline_csv_header();
 

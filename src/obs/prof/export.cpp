@@ -1,9 +1,6 @@
 #include "obs/prof/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <set>
 
 #include "obs/export.hpp"
@@ -11,18 +8,6 @@
 
 namespace delta::obs::prof {
 namespace {
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[320];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
 
 void append_histogram_json(std::string& out, const LogHistogram& h) {
   appendf(out, "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"mean\":%s,"

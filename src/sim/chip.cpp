@@ -41,8 +41,6 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
     const workload::Phase& ph = s.profile->phases.front();
     s.cpi_est = ph.cpi_base + ph.apki / 1000.0 * 100.0 / ph.mlp;
   }
-  interleave_batch_ =
-      cfg_.interleave_batch == 0 ? kInterleaveBatch : cfg_.interleave_batch;
   epoch_targets_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_hits_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_misses_.resize(static_cast<std::size_t>(cfg_.cores));
@@ -179,7 +177,7 @@ void Chip::run_one_epoch(bool measuring) {
         std::uint64_t& target = epoch_targets_[static_cast<std::size_t>(c)];
         if (!s.active || s.epoch_accesses >= target) continue;
         const std::uint64_t batch =
-            std::min<std::uint64_t>(interleave_batch_, target - s.epoch_accesses);
+            std::min<std::uint64_t>(kInterleaveBatch, target - s.epoch_accesses);
         do_access_batch(c, batch, measuring);
         if (s.epoch_accesses < target) work_left = true;
       }

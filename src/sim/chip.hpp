@@ -82,28 +82,15 @@ class EpochChecker {
   virtual void on_epoch(Chip& chip, std::uint64_t epoch) = 0;
 };
 
-// Compile-time default for Chip::kInterleaveBatch; override with
-// -DDELTA_INTERLEAVE_BATCH=N (MachineConfig::interleave_batch overrides at
-// run time).
-#ifndef DELTA_INTERLEAVE_BATCH
-#define DELTA_INTERLEAVE_BATCH 16
-#endif
-
 class Chip {
  public:
   /// Batch size for interleaving per-core access streams within an epoch:
   /// small enough that contending cores interact at fine grain, large
   /// enough to keep the issue loop cheap.  The intra-run engine reproduces
   /// this exact interleaving, so the value is part of the determinism
-  /// contract — changing it changes results.  This constant is the
-  /// compile-time default; MachineConfig::interleave_batch != 0 overrides
-  /// it per chip (see interleave_batch()).
-  static constexpr std::uint64_t kInterleaveBatch = DELTA_INTERLEAVE_BATCH;
-
-  /// The batch size this chip actually runs with — kInterleaveBatch unless
-  /// the config overrode it.  Both the serial issue loop and the intra-run
-  /// engine read this, so they agree byte-for-byte at any value.
-  std::uint64_t interleave_batch() const { return interleave_batch_; }
+  /// contract — changing it changes results.  Both the serial issue loop
+  /// and the intra-run engine read this one constant.
+  static constexpr std::uint64_t kInterleaveBatch = 16;
 
   /// `apps` holds one profile short-name per core ("idle" => idle core).
   /// cfg.intra_jobs > 1 (or 0 = hardware threads) attaches the intra-run
@@ -183,7 +170,6 @@ class Chip {
   std::unique_ptr<Scheme> scheme_;
   std::unique_ptr<IntraEngine> intra_;  ///< Null => serial epoch loop.
   noc::TrafficStats traffic_;
-  std::uint64_t interleave_batch_ = kInterleaveBatch;
   std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_lines_ = 0;
   std::vector<std::uint64_t> epoch_targets_;  // Scratch: accesses per core.

@@ -46,25 +46,13 @@ struct MachineConfig {
   /// appears in reports or JSON output.
   int intra_jobs = 1;
 
-  /// Pin intra-engine workers (and the driving thread) to CPUs via
-  /// common/affinity.hpp — opt-in because it pins the caller too.  Pure
-  /// placement hint with a no-op fallback on unsupported platforms; results
-  /// never depend on it.
-  bool intra_pin = false;
-
-  /// Rounds of the interleaved issue order covered by one intra-engine
-  /// apply task (the (bank, round-range) work-stealing granularity).  0 =
-  /// auto-size from the epoch's round count and worker count.  Results are
-  /// byte-identical for every value; this knob trades wall-clock only.
+  /// Test-only: rounds of the interleaved issue order covered by one
+  /// intra-engine apply task (the (bank, round-range) work-stealing
+  /// granularity).  0 = auto-size from the epoch's round count and worker
+  /// count (never below 8 rounds); tests set small values to reach the
+  /// one-round slices auto-sizing never produces.  No CLI flag sets it.
+  /// Results are byte-identical for every value.
   int intra_apply_rounds = 0;
-
-  /// Per-core batch size of the interleaved issue order.  0 = the compile
-  /// time default Chip::kInterleaveBatch (16, overridable with
-  /// -DDELTA_INTERLEAVE_BATCH=N).  Unlike the knobs above this one IS part
-  /// of the determinism contract: changing it changes the access
-  /// interleaving and therefore the results — but serial and intra-engine
-  /// runs agree byte-for-byte at any value.
-  std::uint32_t interleave_batch = 0;
 
   /// Feed DELTA's pain/gain with the Little's-law MLP estimator
   /// (umon/mlp.hpp, "performance counters") instead of the profile's

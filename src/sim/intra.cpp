@@ -19,7 +19,7 @@ constexpr std::size_t kSliceSpineReserve = 16;
 
 IntraEngine::IntraEngine(Chip& chip, unsigned threads)
     : chip_(chip),
-      pool_(threads, WorkerPool::Options{chip.cfg_.intra_pin}),
+      pool_(threads),
       profile_(threads) {
   pool_.set_hooks(&profile_);
   const std::size_t cores = static_cast<std::size_t>(chip_.cores());
@@ -40,10 +40,10 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
     reduce_claim_[c].store(0, std::memory_order_relaxed);
   }
 
-  // First-touch warm pass: worker w faults in the buffers of its static
-  // home cores/banks, so with pinning enabled (cfg.intra_pin) the pages
-  // land on the node of the worker most likely to use them.  The profile
-  // is not armed yet, so the section records nothing.
+  // Warm pass: worker w sizes the per-core and per-bank buffers of its
+  // static home range, so they are allocated and first touched before the
+  // first epoch instead of on its hot path.  The profile is not armed yet,
+  // so the section records nothing.
   const unsigned parties = pool_.parties();
   pool_.run([&](unsigned w) {
     const IndexRange r = static_partition(cores, parties, w);
@@ -64,7 +64,7 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
 
 void IntraEngine::prepare_epoch() {
   const std::size_t cores = static_cast<std::size_t>(chip_.cores());
-  const std::uint64_t batch = chip_.interleave_batch();
+  constexpr std::uint64_t batch = Chip::kInterleaveBatch;
   std::uint64_t max_target = 0;
   for (std::size_t c = 0; c < cores; ++c)
     max_target = std::max(max_target, chip_.epoch_targets_[c]);
@@ -191,12 +191,12 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
   const LlcKernel kernel(chip_.banks_, chip_.mesh_, chip_.memsys_, chip_.cfg_);
 
   // Canonical merge: the serial loop issues round-robin batches of
-  // interleave_batch() per core, so this bank saw its accesses in ascending
+  // Chip::kInterleaveBatch per core, so this bank saw its accesses in ascending
   // (round, core, index) order with round = index / batch.  Each per-core
   // segment is already ascending; walk them round by round.  Slices chunk
   // the very same order, so concatenating the slice chain reproduces the
   // serial sequence exactly.
-  const std::uint32_t kBatch = static_cast<std::uint32_t>(chip_.interleave_batch());
+  constexpr std::uint32_t kBatch = static_cast<std::uint32_t>(Chip::kInterleaveBatch);
   for (;;) {
     // The round scan below is the serialization the merge pays for
     // determinism; at kFull profiling one round in eight is clocked (two

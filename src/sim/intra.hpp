@@ -2,7 +2,7 @@
 // threads while staying byte-identical to the serial interleaved loop.
 //
 // The serial engine (Chip::run_one_epoch) issues accesses in round-robin
-// batches of Chip::interleave_batch() per core.  This engine reproduces that
+// batches of Chip::kInterleaveBatch per core.  This engine reproduces that
 // computation in ONE worker-pool section per epoch — two barrier crossings —
 // scheduled by deterministic work-stealing over three task kinds:
 //
@@ -28,7 +28,7 @@
 //     are free — the deterministic work-stealing that removes the static
 //     partition's imbalance.  Within a slice the merge walks the canonical
 //     serial order — ascending (round, core, index) with round = index /
-//     interleave_batch() — so each bank sees the exact serial access
+//     Chip::kInterleaveBatch — so each bank sees the exact serial access
 //     sequence no matter which workers ran its slices.  The merge is
 //     sparse: the slice's core mask expands once into an ascending list of
 //     the cores that staged anything for it, and every round walks only
@@ -79,10 +79,9 @@ class IntraEngine {
  public:
   /// `threads` is the resolved worker count (>= 2; Chip keeps the serial
   /// loop for 1).  The pool threads persist for the Chip's lifetime and
-  /// park on a barrier between epochs; MachineConfig::intra_pin opts into
-  /// CPU-affinity pinning, and the constructor runs a first-touch warm pass
-  /// so per-worker buffers are faulted in by (roughly) the workers that
-  /// will use them.
+  /// park on a barrier between epochs; the constructor runs a warm pass
+  /// that sizes the per-core and per-bank buffers on the workers' home
+  /// ranges.
   IntraEngine(Chip& chip, unsigned threads);
 
   /// Replaces the serial interleaved-issue loop for one epoch.  Callable

@@ -1,9 +1,6 @@
 #include "sim/report.hpp"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "common/stats.hpp"
 #include "obs/export.hpp"
@@ -11,23 +8,9 @@
 namespace delta::sim {
 namespace {
 
+using obs::appendf;
 using obs::json_escape;
 using obs::json_num;
-
-void appendf(std::string& out, const char* fmt, ...)
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
 
 void append_app_json(std::string& out, const AppResult& a) {
   appendf(out,

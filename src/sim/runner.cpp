@@ -61,29 +61,17 @@ SchemeComparison compare_schemes(const MachineConfig& cfg, const workload::Mix& 
 }
 
 std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned threads) {
-  // Warm the lazily-built profile registries before fanning out: their
-  // function-local statics would otherwise be constructed under the init
-  // guard inside the pool, serialising the first wave of workers.
-  (void)workload::spec_profiles();
-  (void)workload::irregular_profiles();
-  (void)workload::splash_profiles();
-  const std::vector<SweepJob> resolved = split_intra_budget(jobs, threads);
-  std::vector<MixResult> out(resolved.size());
-  parallel_for(
-      0, resolved.size(),
-      [&](std::size_t i) {
-        const obs::prof::ScopedSpan job_span(obs::prof::Phase::kSweepJob, i);
-        const SweepJob& j = resolved[i];
-        out[i] = run_mix(j.cfg, j.mix, j.kind, j.opts);
-      },
-      threads);
-  return out;
+  return run_sweep_observed(jobs, std::vector<obs::Observer*>(jobs.size(), nullptr),
+                            threads);
 }
 
 std::vector<MixResult> run_sweep_observed(const std::vector<SweepJob>& jobs,
                                           const std::vector<obs::Observer*>& observers,
                                           unsigned threads) {
   assert(observers.size() == jobs.size());
+  // Warm the lazily-built profile registries before fanning out: their
+  // function-local statics would otherwise be constructed under the init
+  // guard inside the pool, serialising the first wave of workers.
   (void)workload::spec_profiles();
   (void)workload::irregular_profiles();
   (void)workload::splash_profiles();

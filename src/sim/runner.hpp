@@ -74,9 +74,9 @@ std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs,
 /// run_sweep with one observer slot per job (entries may be null).  Each
 /// job's trace/timeline lands in its own observer; merge them back in job
 /// order with obs::Observer::merge_from to get the exact trace a serial
-/// observed execution would have produced.  Kept separate from run_sweep so
-/// the plain sweep API stays observer-free (one mutable sink shared across
-/// jobs would interleave nondeterministically).
+/// observed execution would have produced.  run_sweep is this with every
+/// slot null; the plain sweep API stays observer-free (one mutable sink
+/// shared across jobs would interleave nondeterministically).
 std::vector<MixResult> run_sweep_observed(const std::vector<SweepJob>& jobs,
                                           const std::vector<obs::Observer*>& observers,
                                           unsigned threads = 0);

@@ -5,7 +5,7 @@
 // contract; bit-equal is.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,36 +77,6 @@ TEST(Intra, ByteIdentical64Tile) {
     EXPECT_EQ(serial, run_summary(quick64(8), "w13", kind))
         << "64-tile intra-jobs 8 diverged for " << sim::to_string(kind);
   }
-}
-
-TEST(Intra, ByteIdenticalWithPinningEnabled) {
-  // Opt-in CPU affinity must be invisible to the computation: pinned and
-  // unpinned runs of the same config agree with the serial loop.
-  sim::MachineConfig pinned = quick64(8);
-  pinned.intra_pin = true;
-  EXPECT_EQ(run_summary(quick64(1), "w13", sim::SchemeKind::kDelta),
-            run_summary(pinned, "w13", sim::SchemeKind::kDelta));
-}
-
-TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
-  // interleave_batch IS part of the determinism contract: a different batch
-  // interleaves the per-core streams differently and legitimately changes
-  // results — but serial and intra must agree at any given value.
-  for (const std::uint32_t batch : {1u, 5u, 32u}) {
-    sim::MachineConfig serial_cfg = quick16(1);
-    serial_cfg.interleave_batch = batch;
-    sim::MachineConfig par_cfg = quick16(4);
-    par_cfg.interleave_batch = batch;
-    EXPECT_EQ(run_summary(serial_cfg, "w2", sim::SchemeKind::kDelta),
-              run_summary(par_cfg, "w2", sim::SchemeKind::kDelta))
-        << "interleave_batch " << batch << " diverged";
-  }
-  // And the override really is an override: batch 1 and the default batch
-  // are different interleavings, so their results must differ.
-  sim::MachineConfig one = quick16(1);
-  one.interleave_batch = 1;
-  EXPECT_NE(run_summary(one, "w2", sim::SchemeKind::kDelta),
-            run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
 }
 
 TEST(Intra, ByteIdenticalAcrossApplySliceSizes) {

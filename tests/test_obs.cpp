@@ -106,6 +106,15 @@ TEST(Export, JsonEscapeAndNum) {
   EXPECT_EQ(json_num(1.0 / 0.0), "0");
 }
 
+TEST(Export, AppendfNeverTruncates) {
+  const std::string long_arg(1200, 'x');
+  std::string out = "head:";
+  appendf(out, "[%s|%d]", long_arg.c_str(), 42);
+  appendf(out, "%s", "");  // An empty expansion appends nothing.
+  appendf(out, "%c", 'z');
+  EXPECT_EQ(out, "head:[" + long_arg + "|42]z");
+}
+
 TEST(Export, EmptyObserverProducesValidTrace) {
   Observer obs(ObsLevel::kFull);
   std::string why;

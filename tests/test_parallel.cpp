@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.hpp"
 #include "common/parallel.hpp"
 
 namespace delta {
@@ -154,36 +153,6 @@ TEST(SeqClaim, ChainExecutesUnitsInAscendingOrderUnderContention) {
   for (auto& th : threads) th.join();
   ASSERT_EQ(order.size(), kUnits);
   for (std::uint32_t u = 0; u < kUnits; ++u) EXPECT_EQ(order[u], u);
-}
-
-TEST(Affinity, CpuCountIsPositiveAndPinningDegradesGracefully) {
-  EXPECT_GE(common::affinity_cpu_count(), 1u);
-  const bool pinned = common::pin_current_thread(0);
-  if (!common::affinity_supported()) {
-    // No-op fallback platforms must report failure, not pretend to pin.
-    EXPECT_FALSE(pinned);
-  }
-  // Out-of-range CPU ids wrap instead of failing, so oversubscribed pools
-  // still pin on small hosts.
-  EXPECT_EQ(common::pin_current_thread(common::affinity_cpu_count() + 3), pinned);
-}
-
-TEST(WorkerPool, PinningIsOptInAndBestEffort) {
-  WorkerPool plain(2);
-  EXPECT_FALSE(plain.pin_requested());
-  plain.run([](unsigned) {});
-  EXPECT_EQ(plain.pinned_parties(), 0u);
-
-  WorkerPool pinned(2, WorkerPool::Options(true));
-  EXPECT_TRUE(pinned.pin_requested());
-  std::atomic<int> ran{0};
-  pinned.run([&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), 2);
-  if (common::affinity_supported()) {
-    EXPECT_EQ(pinned.pinned_parties(), 2u);
-  } else {
-    EXPECT_EQ(pinned.pinned_parties(), 0u);
-  }
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ Options:
                       0 = hardware threads).  Byte-identical at any value,
                       so combined with the determinism check this drives
                       the intra-run engine end to end.
-  --intra-pin         Pin intra-run workers to CPUs (best-effort, no-op on
-                      unsupported hosts; never affects results).
   --repro SEED        Run exactly one seed, verbose, and exit.
   --sweep-interval N  Residency-sweep cadence in epochs (default 4, 0 = off).
   --out-dir DIR       Write summary JSON + per-failure reports into DIR.
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
       "seeds",          "seed-base",      "threads",       "intra-jobs",
       "repro",          "sweep-interval", "out-dir",       "no-invariants",
       "no-differential","no-determinism", "no-lockstep",   "prof-out",
-      "metrics-out",    "prof-level",     "intra-pin",     "help"};
+      "metrics-out",    "prof-level",     "help"};
   const auto unknown = args.unknown_flags(known);
   if (!unknown.empty()) {
     for (const auto& f : unknown)
@@ -137,7 +135,6 @@ int main(int argc, char** argv) {
   opt.cases = static_cast<int>(args.get_int_in("seeds", 25, 1, kMaxCount));
   opt.threads = static_cast<unsigned>(args.get_int_in("threads", 1, 0, kMaxThreads));
   opt.intra_jobs = static_cast<int>(args.get_int_in("intra-jobs", 1, 0, kMaxThreads));
-  opt.intra_pin = args.has("intra-pin");
   opt.sweep_interval =
       static_cast<int>(args.get_int_in("sweep-interval", 4, 0, kMaxCount));
   opt.lockstep = !args.has("no-lockstep");

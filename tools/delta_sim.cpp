@@ -43,7 +43,6 @@ using namespace delta;
 // Sanity ceilings for the range-checked integer flags.
 constexpr std::int64_t kMaxEpochs = 1'000'000;
 constexpr std::int64_t kMaxThreads = 1024;
-constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
 void list_everything() {
   std::printf("applications (Table III):\n");
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
       "warmup",     "seed",         "csv",      "list",        "central-ms",
       "trace-out",  "timeline-csv", "json",     "obs-level",   "jobs",
       "intra-jobs", "prof-out",     "prof-level", "metrics-out", "help",
-      "intra-pin",  "interleave-batch", "intra-apply-rounds",
   };
   if (!args.unknown_flags(known).empty() || args.has("help")) {
     for (const auto& f : args.unknown_flags(known))
@@ -162,16 +160,6 @@ int main(int argc, char** argv) {
                  "                 [--intra-jobs N]   (threads inside each "
                  "simulation; 1 = serial, 0 = auto;\n"
                  "                                     byte-identical results "
-                 "at any value)\n"
-                 "                 [--intra-pin]   (pin intra workers to CPUs; "
-                 "best-effort, results unchanged)\n"
-                 "                 [--interleave-batch N]   (accesses per core "
-                 "per round; 0 = compile default;\n"
-                 "                                           changes results, "
-                 "but serial == intra at any N)\n"
-                 "                 [--intra-apply-rounds N]   (apply-task slice "
-                 "size in rounds; 0 = auto;\n"
-                 "                                             byte-identical "
                  "at any value)\n"
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
@@ -209,13 +197,6 @@ int main(int argc, char** argv) {
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
   cfg.intra_jobs = static_cast<int>(args.get_int_in("intra-jobs", 1, 0, kMaxThreads));
-  cfg.intra_pin = args.has("intra-pin");
-  cfg.intra_apply_rounds =
-      static_cast<int>(args.get_int_in("intra-apply-rounds", 0, 0, kMaxInt));
-  // Part of the determinism contract: changing the batch changes results,
-  // but serial and intra engines agree at any given value.
-  cfg.interleave_batch = static_cast<std::uint32_t>(args.get_int_in(
-      "interleave-batch", 0, 0, std::numeric_limits<std::uint32_t>::max()));
 
   workload::Mix mix;
   if (args.has("apps")) {
