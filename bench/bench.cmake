@@ -30,8 +30,7 @@ delta_bench(ext_mt_integrated)
 delta_bench(ext_underutilized)
 delta_bench(ext_irregular)
 delta_bench(shootout)
-delta_bench(micro_obs_overhead)
-delta_bench(micro_prof_overhead)
+delta_bench(micro_overhead)
 delta_bench(micro_throughput)
 
 # micro_components provides its own main (ProfScope wrapping, so

@@ -8,88 +8,27 @@
 #include <vector>
 
 #include "common/args.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "obs/export.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/prof/frontend.hpp"
 #include "sim/runner.hpp"
 
 namespace delta::bench {
 
 /// Self-profiling plumbing shared by every bench main: construct one at the
 /// top of main(argc, argv) and the harness grows --prof-out / --metrics-out
-/// / --prof-level with the same semantics as delta_sim (explicit level
-/// wins; --prof-out implies full, --metrics-out implies phases).  The
-/// destructor writes the requested outputs after the harness finishes.
-/// With none of the flags present this is level-kOff and writes nothing.
+/// / --prof-level through the shared front end (obs/prof/frontend.hpp).
+/// The destructor writes the requested outputs after the harness finishes.
 class ProfScope {
  public:
-  ProfScope(int argc, char** argv) {
-    obs::prof::init_clock();
-    const char* level_str = find_value(argc, argv, "--prof-level");
-    prof_out_ = value_or_empty(argc, argv, "--prof-out");
-    metrics_out_ = value_or_empty(argc, argv, "--metrics-out");
-    obs::prof::ProfLevel lvl = obs::prof::ProfLevel::kOff;
-    if (level_str != nullptr) {
-      if (!obs::prof::parse_prof_level(level_str, &lvl)) {
-        std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                     level_str);
-        std::exit(2);
-      }
-    } else if (!prof_out_.empty()) {
-      lvl = obs::prof::ProfLevel::kFull;
-    } else if (!metrics_out_.empty()) {
-      lvl = obs::prof::ProfLevel::kPhases;
-    }
-    obs::prof::set_level(lvl);
-    Logger::install_flush_handlers();
-  }
-
-  ~ProfScope() {
-    if (!prof_out_.empty()) {
-      const obs::prof::ProfSnapshot snap = obs::prof::Profiler::instance().snapshot();
-      if (!obs::write_text_file(prof_out_, obs::prof::prof_trace_json(snap)))
-        std::perror(("writing " + prof_out_).c_str());
-    }
-    if (!metrics_out_.empty()) {
-      const obs::prof::RegistrySnapshot reg =
-          obs::prof::MetricsRegistry::global().snapshot();
-      const bool prom = ends_with(metrics_out_, ".prom") ||
-                        ends_with(metrics_out_, ".txt");
-      const std::string text =
-          prom ? obs::prof::prometheus_text(reg)
-               : obs::prof::metrics_json(
-                     reg, obs::prof::Profiler::instance().snapshot());
-      if (!obs::write_text_file(metrics_out_, text))
-        std::perror(("writing " + metrics_out_).c_str());
-    }
-  }
+  ProfScope(int argc, char** argv) : session_(ArgParser(argc, argv)) {}
+  ~ProfScope() { session_.write_outputs(); }
 
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  static const char* find_value(int argc, char** argv, const char* flag) {
-    const std::size_t len = std::strlen(flag);
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-      if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=')
-        return argv[i] + len + 1;
-    }
-    return nullptr;
-  }
-  static std::string value_or_empty(int argc, char** argv, const char* flag) {
-    const char* v = find_value(argc, argv, flag);
-    return v != nullptr ? std::string(v) : std::string();
-  }
-  static bool ends_with(const std::string& s, const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-  }
-
-  std::string prof_out_;
-  std::string metrics_out_;
+  obs::prof::ProfSession session_;
 };
 
 /// Parses `--jobs N` (or `--jobs=N`) from a bench's argv.  0 means "use

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "obs/export.hpp"
 #include "workload/mixes.hpp"
 
 namespace {

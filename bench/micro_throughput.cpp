@@ -45,6 +45,8 @@
 #include "legacy_cache.hpp"
 #include "mem/cache.hpp"
 #include "obs/export.hpp"
+#include "obs/prof/metrics.hpp"
+#include "obs/prof/prof.hpp"
 #include "sim/report.hpp"
 
 namespace {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "obs/export.hpp"
 #include "workload/mixes.hpp"
 
 namespace {

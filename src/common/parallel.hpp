@@ -210,25 +210,6 @@ class SeqClaim {
   std::atomic<std::uint32_t> word_{0};
 };
 
-/// Observation hooks for WorkerPool sections.  The profiler (obs/prof)
-/// implements this to measure per-worker busy time and barrier waits without
-/// the pool itself touching a clock (wall-clock reads are banned outside
-/// src/obs/prof by the nondet-source lint).
-///
-/// Contract: for every run() section each party w gets section_begin(w) right
-/// after the start barrier releases it and work_done(w) right after its fn
-/// returns, before it arrives at the done barrier.  Both calls happen on
-/// worker w's thread; the done barrier orders anything they write before the
-/// caller regains control, so a hook may keep plain per-worker slots.  Hooks
-/// must observe only — they run inside the section and anything they do that
-/// feeds back into `fn` would break the pool's determinism contract.
-class WorkerHooks {
- public:
-  virtual ~WorkerHooks() = default;
-  virtual void section_begin(unsigned worker) = 0;
-  virtual void work_done(unsigned worker) = 0;
-};
-
 /// Persistent fork-join pool for repeated fine-grained parallel sections.
 ///
 /// `parallel_for` spawns and joins threads per call, which is fine for
@@ -270,23 +251,14 @@ class WorkerPool {
 
   unsigned parties() const { return parties_; }
 
-  /// Installs (or clears, with nullptr) the section observation hooks.  May
-  /// only be called from the owning thread while no section is running; the
-  /// pointer is published to workers by the next start-barrier hand-off.
-  void set_hooks(WorkerHooks* hooks) { hooks_ = hooks; }
-
   void run(const std::function<void(unsigned)>& fn) {
     if (parties_ == 1) {
-      if (hooks_ != nullptr) hooks_->section_begin(0);
       fn(0);
-      if (hooks_ != nullptr) hooks_->work_done(0);
       return;
     }
     fn_ = &fn;
     start_.arrive_and_wait();
-    if (hooks_ != nullptr) hooks_->section_begin(0);
     invoke(0);
-    if (hooks_ != nullptr) hooks_->work_done(0);
     done_.arrive_and_wait();
     fn_ = nullptr;
     for (unsigned w = 0; w < parties_; ++w) {
@@ -303,9 +275,7 @@ class WorkerPool {
     for (;;) {
       start_.arrive_and_wait();
       if (stop_) return;
-      if (hooks_ != nullptr) hooks_->section_begin(w);
       invoke(w);
-      if (hooks_ != nullptr) hooks_->work_done(w);
       done_.arrive_and_wait();
     }
   }
@@ -324,7 +294,6 @@ class WorkerPool {
   // Both written by the caller strictly before a start-barrier arrival and
   // read by workers strictly after release, so the barrier orders them.
   const std::function<void(unsigned)>* fn_ = nullptr;
-  WorkerHooks* hooks_ = nullptr;  // Published like fn_: set while idle only.
   bool stop_ = false;
   std::vector<std::exception_ptr> errors_;  // Slot w: written only by worker w.
   std::vector<std::thread> threads_;

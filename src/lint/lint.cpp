@@ -287,11 +287,8 @@ class Linter {
   }
 
   /// Raw OS thread-affinity API.  The engine leaves thread placement to the
-  /// OS (docs/performance.md "Tuning knobs"); the src/common/affinity.hpp
-  /// exemption is kept but matches no file.
+  /// OS (docs/performance.md "Tuning knobs"), so no file is exempt.
   void check_raw_affinity() {
-    if (info_.path_label.find("src/common/affinity.hpp") != std::string::npos)
-      return;
     static constexpr const char* kWords[] = {
         "pthread_setaffinity_np", "pthread_getaffinity_np",
         "sched_setaffinity",      "sched_getaffinity",
@@ -302,8 +299,8 @@ class Linter {
       if (line.find("#include") != std::string_view::npos) {
         if (line.find("sched.h") != std::string_view::npos) {
           add(static_cast<int>(li), "raw-affinity",
-              "<sched.h> outside src/common/affinity.hpp; use the "
-              "common::pin_current_thread shim instead");
+              "<sched.h> in src/; threads are not pinned, leave placement "
+              "to the OS scheduler");
         }
         continue;
       }
@@ -311,8 +308,8 @@ class Linter {
         if (find_word(line, word) != std::string_view::npos) {
           add(static_cast<int>(li), "raw-affinity",
               std::string(word) +
-                  " outside src/common/affinity.hpp; use the "
-                  "common::pin_current_thread shim (no-op fallback) instead");
+                  " in src/; threads are not pinned, leave placement to the "
+                  "OS scheduler");
           break;
         }
       }

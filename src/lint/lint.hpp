@@ -25,8 +25,7 @@
 //                     sched_setaffinity, cpu_set_t, sched_getcpu, <sched.h>)
 //                     anywhere under src/ — the engine leaves thread
 //                     placement to the OS, and affinity calls tie code to
-//                     one platform.  The src/common/affinity.hpp exemption
-//                     is kept but matches no file
+//                     one platform.  No file is exempt
 //   ptr-key           pointer-keyed ordered containers (std::map<T*, ...>):
 //                     ordered by allocation addresses, i.e. by ASLR
 //   naked-new         naked new/delete — owning raw pointers; use values,

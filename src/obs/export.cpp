@@ -7,20 +7,9 @@
 #include <set>
 #include <utility>
 
+#include "obs/prof/prof.hpp"
+
 namespace delta::obs {
-namespace {
-
-/// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
-constexpr double kUsPerEpoch = 100.0;
-
-void append_counter(std::string& out, std::uint32_t run, double ts,
-                    const std::string& name, const char* key, double value) {
-  appendf(out, "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,\"ts\":%.1f,"
-               "\"args\":{\"%s\":%s}},\n",
-          name.c_str(), run, ts, key, json_num(value).c_str());
-}
-
-}  // namespace
 
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[256];
@@ -105,7 +94,25 @@ std::string timeline_csv(const Observer& obs) {
   return out;
 }
 
-void append_chrome_trace_events(std::string& out, const Observer& obs) {
+namespace {
+
+/// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
+constexpr double kUsPerEpoch = 100.0;
+
+/// Trace process id for profiler tracks; run/scheme processes use their run
+/// index (0..runs), so a high fixed pid keeps the two namespaces apart.
+constexpr unsigned kProfTracePid = 1000;
+
+void append_counter(std::string& out, std::uint32_t run, double ts,
+                    const std::string& name, const char* key, double value) {
+  appendf(out, "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,\"ts\":%.1f,"
+               "\"args\":{\"%s\":%s}},\n",
+          name.c_str(), run, ts, key, json_num(value).c_str());
+}
+
+/// The observer's trace entries: process/thread metadata, policy instants,
+/// timeline counters, each terminated by ",\n".
+void append_observer_events(std::string& out, const Observer& obs) {
   // Metadata: one trace process per run (scheme), named tile tracks.
   std::set<std::pair<std::uint32_t, int>> tids;
   for (const Event& e : obs.events().events())
@@ -152,17 +159,48 @@ void append_chrome_trace_events(std::string& out, const Observer& obs) {
   }
 }
 
-std::string chrome_trace_json(const Observer& obs) {
-  std::string out = "{\"traceEvents\":[\n";
-  append_chrome_trace_events(out, obs);
-
-  // Trailing comma cleanup: drop the final ",\n" if any entry was written.
-  if (out.size() >= 2 && out[out.size() - 2] == ',') {
-    out.erase(out.size() - 2, 1);
+/// The profiler's phase spans: complete ("X") events in wall-clock
+/// microseconds under kProfTracePid.  The policy events live in virtual
+/// epoch time under their run pids, so the two timelines sit side by side
+/// as separate processes in Perfetto.
+void append_prof_spans(std::string& out, const prof::ProfSnapshot& snap) {
+  appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
+               "\"args\":{\"name\":\"engine prof (wall clock, level %s)\"}},\n",
+          kProfTracePid, prof::to_string(snap.level));
+  std::set<std::uint32_t> tids;
+  for (const prof::Span& s : snap.spans) tids.insert(s.tid);
+  for (const std::uint32_t tid : tids)
+    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,\"name\":\"thread_name\","
+                 "\"args\":{\"name\":\"thread %u\"}},\n",
+            kProfTracePid, tid, tid);
+  for (const prof::Span& s : snap.spans) {
+    const std::string_view name = prof::phase_name(s.phase);
+    appendf(out, "{\"name\":\"%.*s\",\"cat\":\"prof\",\"ph\":\"X\","
+                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%u,\"tid\":%u,"
+                 "\"args\":{\"epoch\":%" PRIu64 ",\"seq\":%" PRIu64 "}},\n",
+            static_cast<int>(name.size()), name.data(),
+            static_cast<double>(s.start_ns) / 1e3,
+            static_cast<double>(s.dur_ns) / 1e3, kProfTracePid, s.tid, s.arg,
+            s.seq);
   }
-  appendf(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-               "\"dropped_events\":%" PRIu64 ",\"recorded_events\":%zu}}\n",
-          obs.events().dropped(), obs.events().size());
+}
+
+}  // namespace
+
+std::string chrome_trace_json(const Observer* obs, const prof::ProfSnapshot* prof) {
+  std::string out = "{\"traceEvents\":[\n";
+  if (obs != nullptr) append_observer_events(out, *obs);
+  if (prof != nullptr) append_prof_spans(out, *prof);
+  // Trailing comma cleanup: drop the final ",\n" if any entry was written.
+  if (out.size() >= 2 && out[out.size() - 2] == ',') out.erase(out.size() - 2, 1);
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
+  if (prof != nullptr)
+    appendf(out, "\"prof_spans\":%zu,\"prof_dropped_spans\":%" PRIu64 "%s",
+            prof->spans.size(), prof->dropped_spans, obs != nullptr ? "," : "");
+  if (obs != nullptr)
+    appendf(out, "\"dropped_events\":%" PRIu64 ",\"recorded_events\":%zu",
+            obs->events().dropped(), obs->events().size());
+  out += "}}\n";
   return out;
 }
 

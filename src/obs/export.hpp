@@ -2,9 +2,12 @@
 // (docs/observability.md documents the formats):
 //
 //   chrome_trace_json — Chrome trace-event JSON (open in Perfetto or
-//     chrome://tracing): policy events as instant events on per-tile
-//     tracks, one process per run/scheme, plus per-core way/IPC counters
-//     and per-MCU queue counters from the timeline.
+//     chrome://tracing), the one trace writer: policy events as instant
+//     events on per-tile tracks, one process per run/scheme, plus per-core
+//     way/IPC counters and per-MCU queue counters from the timeline; and,
+//     when given a profiler snapshot, the engine's phase spans as duration
+//     events on a dedicated "engine prof" process, so one timeline shows
+//     what the policy did next to where the epoch time went.
 //   timeline_csv — long-format epoch time series with an `entity` column
 //     (core / mcu / chip) so one file carries all three row types.
 //
@@ -18,6 +21,10 @@
 #include "obs/observer.hpp"
 
 namespace delta::obs {
+
+namespace prof {
+struct ProfSnapshot;
+}  // namespace prof
 
 /// JSON string escaping (control characters, quotes, backslash).
 std::string json_escape(std::string_view s);
@@ -38,14 +45,11 @@ std::string timeline_csv_header();
 
 std::string timeline_csv(const Observer& obs);
 
-std::string chrome_trace_json(const Observer& obs);
-
-/// Appends the observer's trace entries (process/thread metadata, policy
-/// instants, timeline counters) to `out`, each terminated by ",\n".  The
-/// building block chrome_trace_json() and the profiler's merged exporter
-/// (obs/prof/export.hpp) share, so phase spans and policy events can land in
-/// one trace file.
-void append_chrome_trace_events(std::string& out, const Observer& obs);
+/// Either argument may be null.  With only an observer this is the
+/// `--trace-out` file; with a snapshot it is the `--prof-out` file, whose
+/// spans sit under pid 1000 and whose otherData adds the span counts before
+/// the observer's event counts.
+std::string chrome_trace_json(const Observer* obs, const prof::ProfSnapshot* prof);
 
 /// Writes `content` to `path`; returns false (and leaves errno set) on
 /// failure.

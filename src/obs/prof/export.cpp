@@ -1,10 +1,8 @@
 #include "obs/prof/export.hpp"
 
 #include <cinttypes>
-#include <set>
 
 #include "obs/export.hpp"
-#include "obs/observer.hpp"
 
 namespace delta::obs::prof {
 namespace {
@@ -17,45 +15,6 @@ void append_histogram_json(std::string& out, const LogHistogram& h) {
 }
 
 }  // namespace
-
-std::string prof_trace_json(const ProfSnapshot& snap, const Observer* obs) {
-  std::string out = "{\"traceEvents\":[\n";
-  if (obs != nullptr) append_chrome_trace_events(out, *obs);
-
-  appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
-               "\"args\":{\"name\":\"engine prof (wall clock, level %s)\"}},\n",
-          kProfTracePid, to_string(snap.level));
-  std::set<std::uint32_t> tids;
-  for (const Span& s : snap.spans) tids.insert(s.tid);
-  for (const std::uint32_t tid : tids)
-    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,\"name\":\"thread_name\","
-                 "\"args\":{\"name\":\"thread %u\"}},\n",
-            kProfTracePid, tid, tid);
-
-  // Phase spans: complete ("X") events in wall-clock microseconds.  The
-  // policy events above live in virtual epoch time under their run pids, so
-  // the two timelines sit side by side as separate processes in Perfetto.
-  for (const Span& s : snap.spans) {
-    appendf(out, "{\"name\":\"%.*s\",\"cat\":\"prof\",\"ph\":\"X\","
-                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%u,\"tid\":%u,"
-                 "\"args\":{\"epoch\":%" PRIu64 ",\"seq\":%" PRIu64 "}},\n",
-            static_cast<int>(phase_name(s.phase).size()),
-            phase_name(s.phase).data(),
-            static_cast<double>(s.start_ns) / 1e3,
-            static_cast<double>(s.dur_ns) / 1e3, kProfTracePid, s.tid, s.arg,
-            s.seq);
-  }
-
-  if (out.size() >= 2 && out[out.size() - 2] == ',') out.erase(out.size() - 2, 1);
-  appendf(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-               "\"prof_spans\":%zu,\"prof_dropped_spans\":%" PRIu64,
-          snap.spans.size(), snap.dropped_spans);
-  if (obs != nullptr)
-    appendf(out, ",\"dropped_events\":%" PRIu64 ",\"recorded_events\":%zu",
-            obs->events().dropped(), obs->events().size());
-  out += "}}\n";
-  return out;
-}
 
 std::string prometheus_text(const RegistrySnapshot& reg) {
   std::string out;

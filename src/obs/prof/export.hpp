@@ -1,12 +1,7 @@
-// Exporters for the self-profiling subsystem (formats documented in
-// docs/observability.md):
+// Metrics exporters for the self-profiling subsystem (formats documented in
+// docs/observability.md; the profiler's Chrome trace is obs::chrome_trace_json
+// with a snapshot):
 //
-//   prof_trace_json — Chrome trace-event JSON carrying the profiler's phase
-//     spans as "X" duration events on per-thread tracks of a dedicated
-//     "engine prof" process (wall-clock microseconds), merged with the
-//     observer's policy events and counters when an Observer is supplied —
-//     one flamegraph shows where epoch time went next to what the policy
-//     did.
 //   prometheus_text — Prometheus text exposition of a registry snapshot
 //     (counters, gauges, histograms with cumulative le buckets).
 //   metrics_json — JSON dump: every registry metric plus the snapshot's
@@ -21,18 +16,7 @@
 #include "obs/prof/metrics.hpp"
 #include "obs/prof/prof.hpp"
 
-namespace delta::obs {
-class Observer;
-}  // namespace delta::obs
-
 namespace delta::obs::prof {
-
-/// Trace process id for profiler tracks; run/scheme processes use their run
-/// index (0..runs), so a high fixed pid keeps the two namespaces apart.
-inline constexpr unsigned kProfTracePid = 1000;
-
-std::string prof_trace_json(const ProfSnapshot& snap,
-                            const Observer* obs = nullptr);
 
 std::string prometheus_text(const RegistrySnapshot& reg);
 

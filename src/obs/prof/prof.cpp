@@ -93,6 +93,14 @@ void Profiler::record_span(Phase p, std::uint64_t start_ns, std::uint64_t dur_ns
   buf.spans.push_back(Span{seq, start_ns, dur_ns, arg, buf.tid, p});
 }
 
+bool Profiler::count_site(Site s) {
+  std::atomic<std::uint64_t>& calls = local_buf().site_calls[static_cast<std::size_t>(s)];
+  // A single writer needs no read-modify-write.
+  const std::uint64_t n = calls.load(std::memory_order_relaxed);
+  calls.store(n + 1, std::memory_order_relaxed);
+  return n % site_sample_every(s) == 0;
+}
+
 void Profiler::add_site(Site s, std::uint64_t dur_ns) {
   ThreadBuf& buf = local_buf();
   const common::LockGuard lock(buf.mu);
@@ -116,15 +124,24 @@ ProfSnapshot Profiler::snapshot() const {
     bufs.reserve(bufs_.size());
     for (const auto& b : bufs_) bufs.push_back(b.get());
   }
+  std::array<std::uint64_t, static_cast<std::size_t>(Site::kCount)> timed{};
   for (const ThreadBuf* b : bufs) {
     const common::LockGuard lock(b->mu);
     out.spans.insert(out.spans.end(), b->spans.begin(), b->spans.end());
     out.dropped_spans += b->dropped;
     for (std::size_t s = 0; s < out.sites.size(); ++s) {
-      out.sites[s].calls += b->sites[s].calls;
+      out.sites[s].calls += b->site_calls[s].load(std::memory_order_relaxed);
+      timed[s] += b->sites[s].calls;
       out.sites[s].ns += b->sites[s].ns;
       out.sites[s].hist.merge(b->sites[s].hist);
     }
+  }
+  for (std::size_t s = 0; s < out.sites.size(); ++s) {
+    SiteTotal& t = out.sites[s];
+    if (timed[s] > 0 && timed[s] != t.calls)
+      t.ns = static_cast<std::uint64_t>(static_cast<double>(t.ns) *
+                                        static_cast<double>(t.calls) /
+                                        static_cast<double>(timed[s]));
   }
   std::sort(out.spans.begin(), out.spans.end(),
             [](const Span& a, const Span& b) { return a.seq < b.seq; });
@@ -147,6 +164,8 @@ void Profiler::clear() {
       t.ns = 0;
       t.hist.reset();
     }
+    for (std::atomic<std::uint64_t>& calls : b->site_calls)
+      calls.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -240,11 +259,10 @@ void EngineProfile::ensure_handles() {
     handles_ = std::make_unique<Handles>(MetricsRegistry::global());
 }
 
-void EngineProfile::begin_section(Phase p, std::uint64_t epoch) {
+void EngineProfile::begin_section(std::uint64_t epoch) {
   armed_ = enabled(ProfLevel::kPhases);
   full_ = armed_ && enabled(ProfLevel::kFull);
   if (!armed_) return;
-  phase_ = p;
   epoch_arg_ = epoch;
   for (WorkerSlot& s : slots_) s = WorkerSlot{};
   for (TaskSlot& t : tasks_) t = TaskSlot{};
@@ -296,9 +314,9 @@ void EngineProfile::end_section() {
     if (s.done_ns < s.begin_ns || s.begin_ns == 0) continue;  // Idle party.
     const std::uint64_t busy = s.done_ns - s.begin_ns;
     const std::uint64_t wait = last_done - s.done_ns;
-    prof.record_span(phase_, s.begin_ns, busy, epoch_arg_);
+    prof.record_span(Phase::kPipeline, s.begin_ns, busy, epoch_arg_);
     if (wait > 0) prof.record_span(Phase::kBarrier, s.done_ns, wait, epoch_arg_);
-    cum_busy_[static_cast<std::size_t>(phase_)] += busy;
+    cum_busy_[static_cast<std::size_t>(Phase::kPipeline)] += busy;
     cum_barrier_ns_ += wait;
     cum_section_ns_ += busy + wait;
     epoch_busy_[w] += busy;
@@ -321,8 +339,7 @@ void EngineProfile::add_occupancy(std::uint64_t staged, std::uint64_t pairs_tota
   handles_->occupancy_nonzero.add(pairs_nonzero);
 }
 
-void EngineProfile::end_epoch(std::uint64_t epoch) {
-  (void)epoch;
+void EngineProfile::end_epoch() {
   if (!armed_) return;
   ensure_handles();
   handles_->epochs.add(1);

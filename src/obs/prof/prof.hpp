@@ -14,16 +14,17 @@
 //   compile time — building with -DDELTA_PROF_DISABLED compiles every
 //     instrumentation type down to an empty inline no-op;
 //   run time    — a process-wide relaxed-atomic ProfLevel.  A disabled site
-//     costs one relaxed load + branch (micro_prof_overhead gates the
-//     end-to-end cost at < 2%).
+//     costs one relaxed load + branch (micro_overhead gates the end-to-end
+//     cost at < 2%).
 //
 // Levels:
 //   kOff    — collect nothing.
 //   kPhases — coarse spans: epoch / policy / stage / apply / reduce /
 //     barrier sections, sweep-job scheduling, derived per-epoch metrics.
 //   kFull   — adds per-call site aggregates (do_access_batch, per-core
-//     stage/reduce, per-bank apply), sampled cursor-merge scan timing, and
-//     per-(core,bank) staging-buffer occupancy.  Budget < 8%.
+//     stage/reduce, per-bank apply; do_access_batch timed one call in
+//     eight), sampled cursor-merge scan timing, and per-(core,bank)
+//     staging-buffer occupancy.  Budget < 8%.
 //
 // Span model: each span is (seq, start_ns, dur_ns, tid, phase, arg).  seq is
 // a process-wide sequence number drawn at record time, so a snapshot can be
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "common/histogram.hpp"
-#include "common/parallel.hpp"
 #include "common/sync.hpp"
 
 namespace delta::obs::prof {
@@ -74,8 +74,9 @@ enum class Phase : std::uint8_t {
 
 std::string_view phase_name(Phase p);
 
-/// Per-call aggregation sites (duration totals + log-bucket histograms, no
-/// individual spans — these fire far too often for the span log).
+/// Per-call aggregation sites (call counts, duration totals + log-bucket
+/// histograms, no individual spans — these fire far too often for the span
+/// log).
 enum class Site : std::uint8_t {
   kAccessBatch = 0,  ///< Chip::do_access_batch (serial hot path).
   kStageCore,        ///< IntraEngine::stage_core.
@@ -85,6 +86,14 @@ enum class Site : std::uint8_t {
 };
 
 std::string_view site_name(Site s);
+
+/// Every call of a site is counted; one in site_sample_every(s) calls on a
+/// thread is timed.  do_access_batch runs once per 16-access batch, where two
+/// clock reads per call would cost a serial run about 7%; the other sites
+/// run once per core or bank per epoch and are timed on every call.
+constexpr std::uint32_t site_sample_every(Site s) {
+  return s == Site::kAccessBatch ? 8 : 1;
+}
 
 struct Span {
   std::uint64_t seq = 0;
@@ -96,9 +105,9 @@ struct Span {
 };
 
 struct SiteTotal {
-  std::uint64_t calls = 0;
-  std::uint64_t ns = 0;
-  LogHistogram hist;
+  std::uint64_t calls = 0;  ///< Every call.
+  std::uint64_t ns = 0;     ///< Timed duration, scaled up to every call.
+  LogHistogram hist;        ///< Timed calls only.
 };
 
 /// Everything a snapshot carries; exporters consume this by value.
@@ -174,7 +183,12 @@ class Profiler {
   void record_span(Phase p, std::uint64_t start_ns, std::uint64_t dur_ns,
                    std::uint64_t arg);
 
-  /// Folds one duration into the calling thread's per-site aggregate.
+  /// Counts one call of site `s` on the calling thread; true when this call
+  /// is one to time (see site_sample_every).
+  bool count_site(Site s);
+
+  /// Folds one timed call's duration into the calling thread's per-site
+  /// aggregate.
   void add_site(Site s, std::uint64_t dur_ns);
 
   /// Stable slot of the calling thread in this profiler (also the tid spans
@@ -196,8 +210,13 @@ class Profiler {
   struct ThreadBuf {
     mutable common::Mutex mu;
     std::vector<Span> spans GUARDED_BY(mu);
+    /// Timed calls only; `calls` there counts the timed ones.
     std::array<SiteTotal, static_cast<std::size_t>(Site::kCount)> sites
         GUARDED_BY(mu);
+    /// Every call per site.  Only the owning thread writes it, without the
+    /// lock; snapshot() and clear() read and reset it relaxed.
+    std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Site::kCount)>
+        site_calls{};
     std::uint64_t dropped GUARDED_BY(mu) = 0;
     std::uint32_t tid = 0;
   };
@@ -255,7 +274,7 @@ class ScopedSite {
   ScopedSite(Site, ProfLevel = ProfLevel::kFull) {}
 #else
   explicit ScopedSite(Site s, ProfLevel need = ProfLevel::kFull) {
-    if (enabled(need)) {
+    if (enabled(need) && Profiler::instance().count_site(s)) {
       site_ = s;
       start_ = now_ns();
       armed_ = true;
@@ -274,23 +293,25 @@ class ScopedSite {
 #endif
 };
 
-/// Per-WorkerPool profiling: implements the pool's WorkerHooks to clock each
-/// worker's section, derives done-barrier waits (a worker's wait is the gap
-/// to the section's last work_done), and folds per-epoch derived metrics —
-/// barrier-wait fraction, worker-imbalance ratio, sampled cursor-merge
-/// serial fraction, staging-buffer occupancy — into the global
-/// MetricsRegistry.  One instance per engine, driven from the pool's owner
-/// thread (begin_section/end_section/end_epoch); the hook slots are written
-/// by each worker inside the section and read by the owner after the done
-/// barrier, which orders them (same argument as WorkerPool::fn_).
-class EngineProfile final : public WorkerHooks {
+/// Intra-engine profiling: clocks each worker's part of a pool section
+/// (the engine's worker body calls section_begin/work_done around its work),
+/// derives done-barrier waits (a worker's wait is the gap to the section's
+/// last work_done), and folds per-epoch derived metrics — barrier-wait
+/// fraction, worker-imbalance ratio, sampled cursor-merge serial fraction,
+/// staging-buffer occupancy — into the global MetricsRegistry.  One instance
+/// per engine, driven from the pool's owner thread
+/// (begin_section/end_section/end_epoch); the worker slots are written by
+/// each worker inside the section and read by the owner after the done
+/// barrier, which orders them (same argument as WorkerPool::fn_).  Sections
+/// are fused kPipeline sections.
+class EngineProfile {
  public:
   explicit EngineProfile(unsigned workers);
-  ~EngineProfile() override;
+  ~EngineProfile();
 
-  /// Arms the next pool section if the runtime level allows; phase/epoch
-  /// label the spans the section will record.
-  void begin_section(Phase p, std::uint64_t epoch);
+  /// Arms the next pool section if the runtime level allows; `epoch` labels
+  /// the spans the section will record.
+  void begin_section(std::uint64_t epoch);
   /// Records per-worker busy + barrier spans for the section that just
   /// finished and accumulates the epoch's totals.  Pair with begin_section
   /// around every pool run.
@@ -301,9 +322,10 @@ class EngineProfile final : public WorkerHooks {
   bool armed() const { return armed_; }
   bool full() const { return full_; }
 
-  // WorkerHooks (called on worker threads, inside a section):
-  void section_begin(unsigned worker) override;
-  void work_done(unsigned worker) override;
+  /// Worker `worker` starts / finishes its part of the section; both run on
+  /// that worker's thread, inside the section.
+  void section_begin(unsigned worker);
+  void work_done(unsigned worker);
 
   /// Worker-side task attribution inside a fused kPipeline section: the
   /// scheduler calls this when worker `worker` starts a task of kind `p`
@@ -331,7 +353,7 @@ class EngineProfile final : public WorkerHooks {
 
   /// Closes the epoch: updates cumulative totals, pushes derived metrics
   /// (fractions, imbalance, per-epoch histograms) into the registry.
-  void end_epoch(std::uint64_t epoch);
+  void end_epoch();
 
   /// Machine-independent engine-health accounting, one call per epoch from
   /// the owner thread.  Unlike the timing metrics this is NOT gated on the
@@ -380,7 +402,6 @@ class EngineProfile final : public WorkerHooks {
   std::vector<TaskSlot> tasks_;
   std::vector<MergeScratch> merge_;
   std::vector<std::uint64_t> epoch_busy_;  ///< Per worker, this epoch.
-  Phase phase_ = Phase::kStage;
   std::uint64_t epoch_arg_ = 0;
   bool armed_ = false;
   bool full_ = false;

@@ -21,7 +21,6 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
     : chip_(chip),
       pool_(threads),
       profile_(threads) {
-  pool_.set_hooks(&profile_);
   const std::size_t cores = static_cast<std::size_t>(chip_.cores());
   const std::size_t mcus = static_cast<std::size_t>(chip_.memsys().num_mcus());
   stages_.resize(cores);
@@ -381,6 +380,7 @@ void IntraEngine::run_reduce_tasks(unsigned w, bool measuring) {
 }
 
 void IntraEngine::worker_run(unsigned w, bool measuring) {
+  profile_.section_begin(w);
   try {
     run_stage_tasks(w);
     if (!failed_.load(std::memory_order_relaxed)) run_apply_tasks(w);
@@ -389,6 +389,7 @@ void IntraEngine::worker_run(unsigned w, bool measuring) {
     task_errors_[static_cast<std::size_t>(w)] = std::current_exception();
     failed_.store(true, std::memory_order_relaxed);
   }
+  profile_.work_done(w);
 }
 
 void IntraEngine::rethrow_task_errors() {
@@ -408,7 +409,7 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
 
   // One fused pool section per epoch: two barrier crossings where the
   // three-phase lockstep paid six.
-  profile_.begin_section(obs::prof::Phase::kPipeline, epoch);
+  profile_.begin_section(epoch);
   pool_.run([&](unsigned w) { worker_run(w, measuring); });
   profile_.end_section();
   rethrow_task_errors();
@@ -441,7 +442,7 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
     for (const BankTally& t : tallies_) reqs += t.mcu_reqs[static_cast<std::size_t>(m)];
     chip_.memsys_.mcu(m).add_requests(reqs);
   }
-  profile_.end_epoch(epoch);
+  profile_.end_epoch();
 
   // Machine-independent engine-health accounting (any profiling level).
   std::uint64_t tasks = 0, stolen = 0, ranges = 0, overlapped = 0;

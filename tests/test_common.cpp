@@ -6,13 +6,11 @@
 #include <optional>
 #include <vector>
 
-#include <cstdarg>
 #include <string>
 #include <utility>
 
 #include "common/args.hpp"
 #include "common/histogram.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -206,38 +204,6 @@ TEST(Types, BlockAndPageHelpers) {
   EXPECT_EQ(page_of(4095), 0u);
   EXPECT_EQ(page_of(4096), 1u);
   EXPECT_EQ(lines_in(kMiB), 16384u);
-}
-
-std::string format_record(LogLevel lvl, const char* fmt, ...) {
-  std::va_list ap;
-  va_start(ap, fmt);
-  std::string out = Logger::vformat(lvl, fmt, ap);
-  va_end(ap);
-  return out;
-}
-
-TEST(Logger, VformatComposesOneCompleteRecord) {
-  EXPECT_EQ(format_record(LogLevel::kWarn, "bank %d lost %d ways", 3, 2),
-            "[warn] bank 3 lost 2 ways\n");
-  EXPECT_EQ(format_record(LogLevel::kError, "plain"), "[error] plain\n");
-}
-
-TEST(Logger, VformatTruncatesOverlongMessages) {
-  const std::string big(4096, 'x');
-  const std::string rec = format_record(LogLevel::kInfo, "%s", big.c_str());
-  EXPECT_LT(rec.size(), 1100u);  // Bounded by the internal 1 KiB buffer.
-  EXPECT_EQ(rec.substr(rec.size() - 4), "...\n");
-  EXPECT_EQ(rec.substr(0, 7), "[info] ");
-}
-
-TEST(Logger, LevelGate) {
-  const LogLevel before = Logger::level();
-  Logger::set_level(LogLevel::kWarn);
-  EXPECT_TRUE(Logger::enabled(LogLevel::kError));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kWarn));
-  EXPECT_FALSE(Logger::enabled(LogLevel::kInfo));
-  EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
-  Logger::set_level(before);
 }
 
 TEST(Args, ParseIntInRangeTable) {

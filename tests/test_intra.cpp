@@ -164,7 +164,8 @@ TEST(Intra, ObservedSweepMergesToSerialTrace) {
   for (const auto& jo : job_obs) merged.merge_from(*jo);
 
   EXPECT_EQ(serial_obs.run_names(), merged.run_names());
-  EXPECT_EQ(obs::chrome_trace_json(serial_obs), obs::chrome_trace_json(merged));
+  EXPECT_EQ(obs::chrome_trace_json(&serial_obs, nullptr),
+            obs::chrome_trace_json(&merged, nullptr));
   EXPECT_EQ(obs::timeline_csv(serial_obs), obs::timeline_csv(merged));
 }
 

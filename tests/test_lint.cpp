@@ -183,14 +183,14 @@ TEST(LintRawAffinity, FlagsRawAffinityApiAndSchedHeader) {
   EXPECT_EQ(count_rule(fs, "raw-affinity"), 5);
 }
 
-TEST(LintRawAffinity, AffinityShimIsExempt) {
+TEST(LintRawAffinity, FormerShimPathIsNotExempt) {
   FileInfo info;
   info.path_label = "src/common/affinity.hpp";
   const auto fs = lint_text(info,
                             "#include <sched.h>\n"
                             "cpu_set_t set;\n"
                             "sched_setaffinity(0, sizeof(set), &set);\n");
-  EXPECT_FALSE(has_rule(fs, "raw-affinity"));
+  EXPECT_EQ(count_rule(fs, "raw-affinity"), 3);
 }
 
 TEST(LintRawAffinity, ShimCallsAndCommentsAreClean) {

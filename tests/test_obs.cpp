@@ -118,7 +118,7 @@ TEST(Export, AppendfNeverTruncates) {
 TEST(Export, EmptyObserverProducesValidTrace) {
   Observer obs(ObsLevel::kFull);
   std::string why;
-  EXPECT_TRUE(test::is_valid_json(chrome_trace_json(obs), &why)) << why;
+  EXPECT_TRUE(test::is_valid_json(chrome_trace_json(&obs, nullptr), &why)) << why;
 }
 
 TEST(Export, HandBuiltTraceIsValidJsonWithExpectedEvents) {
@@ -131,7 +131,7 @@ TEST(Export, HandBuiltTraceIsValidJsonWithExpectedEvents) {
   obs.timeline().add_mcu(3, 0, 12, 0.5);
   obs.timeline().add_chip(3, 10, 2000, 1, 37);
 
-  const std::string trace = chrome_trace_json(obs);
+  const std::string trace = chrome_trace_json(&obs, nullptr);
   std::string why;
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why << "\n" << trace;
   EXPECT_NE(trace.find("\"challenge_sent\""), std::string::npos);
@@ -210,7 +210,7 @@ TEST(ObsIntegration, ShortDeltaRunEmitsPolicyEvents) {
   }
 
   std::string why;
-  const std::string trace = chrome_trace_json(obs);
+  const std::string trace = chrome_trace_json(&obs, nullptr);
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why;
   EXPECT_NE(trace.find("\"challenge_sent\""), std::string::npos);
   EXPECT_NE(trace.find("\"way_transfer\""), std::string::npos);

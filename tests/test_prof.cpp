@@ -4,15 +4,20 @@
 // results with profiling off vs full at any thread count.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <csignal>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
+#include "common/args.hpp"
 #include "json_check.hpp"
+#include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "obs/prof/export.hpp"
+#include "obs/prof/frontend.hpp"
 #include "obs/prof/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "sim/report.hpp"
@@ -119,6 +124,19 @@ TEST_F(ProfTest, SiteAggregationAccumulates) {
   EXPECT_GE(s.ns, s.hist.sum() == 0 ? 0u : 1u);
 }
 
+TEST_F(ProfTest, AccessBatchSiteCountsEveryCallAndTimesOneInEight) {
+  ASSERT_EQ(obs::prof::site_sample_every(Site::kAccessBatch), 8u);
+  obs::prof::set_level(ProfLevel::kFull);
+  for (int i = 0; i < 16; ++i)
+    obs::prof::ScopedSite site(Site::kAccessBatch);
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  const obs::prof::SiteTotal& s =
+      snap.sites[static_cast<std::size_t>(Site::kAccessBatch)];
+  EXPECT_EQ(s.calls, 16u);
+  EXPECT_EQ(s.hist.total(), 2u);
+  EXPECT_GE(s.ns, s.hist.sum());  // Two timed calls scaled up to sixteen.
+}
+
 TEST_F(ProfTest, PhaseNsSumsOnlyThatPhase) {
   obs::prof::set_level(ProfLevel::kPhases);
   { obs::prof::ScopedSpan a(Phase::kStage, 0); }
@@ -223,8 +241,8 @@ TEST_F(ProfTest, TraceJsonMergesSpansAndPolicyEvents) {
                &observer);
   obs::prof::set_level(ProfLevel::kOff);
 
-  const std::string trace =
-      obs::prof::prof_trace_json(Profiler::instance().snapshot(), &observer);
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  const std::string trace = obs::chrome_trace_json(&observer, &snap);
   std::string why;
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why;
   // One timeline: prof spans ("X" on the dedicated prof pid) next to the
@@ -236,10 +254,15 @@ TEST_F(ProfTest, TraceJsonMergesSpansAndPolicyEvents) {
   EXPECT_NE(trace.find("\"name\":\"reduce\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"barrier\""), std::string::npos);
 
+  // otherData lists the span counts before the observer's event counts.
+  EXPECT_NE(trace.find("\"otherData\":{\"prof_spans\":"), std::string::npos);
+  EXPECT_NE(trace.find(",\"dropped_events\":"), std::string::npos);
+
   // Without an observer the trace still stands alone as valid JSON.
-  const std::string solo =
-      obs::prof::prof_trace_json(Profiler::instance().snapshot());
+  const std::string solo = obs::chrome_trace_json(nullptr, &snap);
   EXPECT_TRUE(test::is_valid_json(solo, &why)) << why;
+  EXPECT_EQ(solo.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_EQ(solo.find("dropped_events"), std::string::npos);
 }
 
 // -------------------------------------------------------- engine integration
@@ -301,21 +324,116 @@ TEST_F(ProfTest, ResultsAreByteIdenticalWithProfilingOnOrOff) {
       << "profiling changed 4-way intra results";
 }
 
-// ------------------------------------------------------------- logger hooks
+// ---------------------------------------------------------------- front end
 
-TEST(LoggerFlush, HooksRunOnFlushNow) {
-  static std::atomic<int> calls{0};
-  Logger::add_flush_hook([] { calls.fetch_add(1); });
-  Logger::flush_now();
-  EXPECT_GE(calls.load(), 1);
-  const int before = calls.load();
-  Logger::flush_now();  // Hooks stay registered and re-run on every flush.
-  EXPECT_EQ(calls.load(), before + 1);
+// An ArgParser over `flags`, given after a program name.
+ArgParser parse_flags(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& f : flags) argv.push_back(f.data());
+  return ArgParser(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(LoggerFlush, InstallIsIdempotent) {
-  Logger::install_flush_handlers();
-  Logger::install_flush_handlers();  // Second call must be a no-op.
+TEST(ProfFrontEnd, LevelTable) {
+  struct Case {
+    std::vector<std::string> flags;
+    ProfLevel want;
+  };
+  const Case cases[] = {
+      {{}, ProfLevel::kOff},
+      {{"--prof-out", "p.json"}, ProfLevel::kFull},
+      {{"--metrics-out", "m.json"}, ProfLevel::kPhases},
+      {{"--metrics-out", "m.prom", "--prof-out", "p.json"}, ProfLevel::kFull},
+      {{"--prof-level", "full"}, ProfLevel::kFull},
+      {{"--prof-level", "off", "--prof-out", "p.json"}, ProfLevel::kOff},
+      {{"--prof-level", "phases", "--prof-out", "p.json"}, ProfLevel::kPhases},
+      {{"--prof-level=full", "--metrics-out", "m.json"}, ProfLevel::kFull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(obs::prof::resolve_prof_level(parse_flags(c.flags)), c.want)
+        << ::testing::PrintToString(c.flags);
+  }
+}
+
+TEST(ProfFrontEnd, MetricsFormatFollowsTheSuffix) {
+  struct Case {
+    const char* path;
+    bool prometheus;
+  };
+  const Case cases[] = {
+      {"m.prom", true},       {"out/m.txt", true},  {"m.json", false},
+      {"m", false},           {"prom", false},      {"m.prom.json", false},
+      {"m.txt.gz", false},    {".txt", true},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(obs::prof::is_prometheus_path(c.path), c.prometheus) << c.path;
+}
+
+TEST(ProfFrontEnd, ObsLevelTable) {
+  struct Case {
+    std::vector<std::string> flags;
+    std::optional<obs::ObsLevel> want;
+  };
+  const Case cases[] = {
+      {{}, std::nullopt},
+      {{"--metrics-out", "m.json"}, std::nullopt},
+      {{"--json"}, obs::ObsLevel::kSummary},
+      {{"--timeline-csv", "t.csv", "--json"}, obs::ObsLevel::kTimeline},
+      {{"--trace-out", "t.json"}, obs::ObsLevel::kFull},
+      {{"--prof-out", "p.json"}, obs::ObsLevel::kFull},
+      {{"--obs-level", "off", "--trace-out", "t.json"}, obs::ObsLevel::kOff},
+      {{"--obs-level", "timeline"}, obs::ObsLevel::kTimeline},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(obs::prof::resolve_obs_level(parse_flags(c.flags)), c.want)
+        << ::testing::PrintToString(c.flags);
+  }
+}
+
+TEST(ProfFrontEndDeathTest, BadLevelExits2) {
+  EXPECT_EXIT(obs::prof::resolve_prof_level(parse_flags({"--prof-level", "verbose"})),
+              ::testing::ExitedWithCode(2), "unknown --prof-level 'verbose'");
+  EXPECT_EXIT(obs::prof::ProfSession(parse_flags({"--prof-level", "x"})),
+              ::testing::ExitedWithCode(2), "unknown --prof-level 'x'");
+  EXPECT_EXIT(obs::prof::resolve_obs_level(parse_flags({"--obs-level", "x"})),
+              ::testing::ExitedWithCode(2), "unknown --obs-level 'x'");
+}
+
+TEST_F(ProfTest, SessionWritesTheFormatTheSuffixNames) {
+  obs::prof::MetricsRegistry::global()
+      .counter("test_prof_session_total", "session write check")
+      .add(1);
+  const std::string dir = ::testing::TempDir();
+  const auto first_line = [](const std::string& path) {
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+  };
+  for (const char* name : {"session.prom", "session.txt", "session.json"}) {
+    const std::string path = dir + name;
+    const obs::prof::ProfSession session(parse_flags({"--metrics-out", path}));
+    EXPECT_EQ(obs::prof::level(), ProfLevel::kPhases);
+    ASSERT_TRUE(session.write_outputs()) << path;
+    const std::string want = obs::prof::is_prometheus_path(path) ? "# HELP " : "{";
+    EXPECT_EQ(first_line(path).substr(0, want.size()), want) << path;
+    std::remove(path.c_str());
+  }
+  const obs::prof::ProfSession bad(
+      parse_flags({"--metrics-out", dir + "no-such-dir/m.json"}));
+  EXPECT_FALSE(bad.write_outputs());
+  obs::prof::MetricsRegistry::global().reset_values();
+}
+
+TEST(AbortFlush, InstallIsIdempotent) {
+  obs::prof::install_abort_flush();
+  const auto first = std::signal(SIGABRT, SIG_DFL);
+  std::signal(SIGABRT, first);
+  obs::prof::install_abort_flush();  // Second call must be a no-op.
+  const auto second = std::signal(SIGABRT, SIG_DFL);
+  std::signal(SIGABRT, second);
+  EXPECT_NE(first, SIG_DFL);
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -17,9 +17,7 @@
 
 #include "check/fuzz.hpp"
 #include "common/args.hpp"
-#include "common/log.hpp"
-#include "obs/export.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/prof/frontend.hpp"
 
 namespace {
 
@@ -42,7 +40,7 @@ Options:
   --no-lockstep       Use the measured-CPI feedback loop (disables the
                       cross-scheme access-equality assertion).
   --prof-out F        Engine self-profiling flamegraph (Chrome trace JSON).
-  --metrics-out F     Metrics dump (.prom = Prometheus text, else JSON).
+  --metrics-out F     Metrics dump (.prom/.txt = Prometheus text, else JSON).
   --prof-level L      off|phases|full (default: implied by the outputs).
   --help              This text.
 )";
@@ -106,25 +104,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Self-profiling: same flag semantics as delta_sim (explicit level wins,
-  // otherwise --prof-out implies full and --metrics-out implies phases).
-  delta::obs::prof::init_clock();
-  {
-    delta::obs::prof::ProfLevel lvl = delta::obs::prof::ProfLevel::kOff;
-    if (args.has("prof-level")) {
-      if (!delta::obs::prof::parse_prof_level(args.get("prof-level"), &lvl)) {
-        std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                     args.get("prof-level").c_str());
-        return 2;
-      }
-    } else if (args.has("prof-out")) {
-      lvl = delta::obs::prof::ProfLevel::kFull;
-    } else if (args.has("metrics-out")) {
-      lvl = delta::obs::prof::ProfLevel::kPhases;
-    }
-    delta::obs::prof::set_level(lvl);
-  }
-  delta::Logger::install_flush_handlers();
+  const delta::obs::prof::ProfSession prof(args);
 
   constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kMaxThreads = 1024;
@@ -177,26 +157,6 @@ int main(int argc, char** argv) {
   const std::string out_dir = args.get("out-dir");
   if (!out_dir.empty()) write_artifacts(out_dir, report, det, det_checked);
 
-  bool io_ok = true;
-  if (args.has("prof-out")) {
-    const auto snap = delta::obs::prof::Profiler::instance().snapshot();
-    io_ok &= delta::obs::write_text_file(args.get("prof-out"),
-                                         delta::obs::prof::prof_trace_json(snap));
-    if (!io_ok) std::perror(("writing " + args.get("prof-out")).c_str());
-  }
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    const auto reg = delta::obs::prof::MetricsRegistry::global().snapshot();
-    const bool prom = path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-    const std::string text =
-        prom ? delta::obs::prof::prometheus_text(reg)
-             : delta::obs::prof::metrics_json(
-                   reg, delta::obs::prof::Profiler::instance().snapshot());
-    if (!delta::obs::write_text_file(path, text)) {
-      std::perror(("writing " + path).c_str());
-      io_ok = false;
-    }
-  }
-
+  const bool io_ok = prof.write_outputs();
   return report.ok() && (!det_checked || det.ok) && io_ok ? 0 : 1;
 }

@@ -21,15 +21,15 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/args.hpp"
-#include "common/log.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/prof/frontend.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "workload/irregular.hpp"
@@ -84,56 +84,6 @@ void print_result(const sim::MixResult& r, const sim::MixResult* baseline, bool 
   std::fputs(sim::text_report(r, baseline).c_str(), text_out);
 }
 
-/// Resolves the collection level: explicit --obs-level wins, otherwise the
-/// requested outputs imply the cheapest level that can feed them.
-obs::ObsLevel resolve_obs_level(const ArgParser& args) {
-  if (args.has("obs-level")) {
-    const std::string lvl = args.get("obs-level");
-    if (lvl == "off") return obs::ObsLevel::kOff;
-    if (lvl == "summary") return obs::ObsLevel::kSummary;
-    if (lvl == "timeline") return obs::ObsLevel::kTimeline;
-    if (lvl == "full") return obs::ObsLevel::kFull;
-    std::fprintf(stderr, "unknown --obs-level '%s' (off|summary|timeline|full)\n",
-                 lvl.c_str());
-    std::exit(2);
-  }
-  if (args.has("trace-out")) return obs::ObsLevel::kFull;
-  // The prof flamegraph merges policy events into the span timeline, so the
-  // event trace must be on for the merged view to have both halves.
-  if (args.has("prof-out")) return obs::ObsLevel::kFull;
-  if (args.has("timeline-csv")) return obs::ObsLevel::kTimeline;
-  if (args.has("json")) return obs::ObsLevel::kSummary;
-  return obs::ObsLevel::kOff;
-}
-
-bool write_or_complain(const std::string& path, const std::string& content) {
-  if (obs::write_text_file(path, content)) return true;
-  std::perror(("writing " + path).c_str());
-  return false;
-}
-
-/// Resolves the self-profiling level: explicit --prof-level wins, otherwise
-/// --prof-out implies full (spans + sites) and --metrics-out implies phases.
-obs::prof::ProfLevel resolve_prof_level(const ArgParser& args) {
-  if (args.has("prof-level")) {
-    obs::prof::ProfLevel lvl;
-    if (!obs::prof::parse_prof_level(args.get("prof-level"), &lvl)) {
-      std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                   args.get("prof-level").c_str());
-      std::exit(2);
-    }
-    return lvl;
-  }
-  if (args.has("prof-out")) return obs::prof::ProfLevel::kFull;
-  if (args.has("metrics-out")) return obs::prof::ProfLevel::kPhases;
-  return obs::prof::ProfLevel::kOff;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() && s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,7 +114,7 @@ int main(int argc, char** argv) {
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json|m.prom]   (metrics "
-                 "dump; .prom = Prometheus text)\n"
+                 "dump; .prom/.txt = Prometheus text)\n"
                  "                 [--prof-level off|phases|full]\n");
     return args.has("help") ? 0 : 2;
   }
@@ -173,13 +123,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Self-profiling setup: pin the clock origin before any worker threads
-  // exist and arm the level before chips are constructed, so every span of
-  // the run lands in the same timeline.  Flush handlers make sure buffered
-  // logs (and nothing else) survive an abort mid-run.
-  obs::prof::init_clock();
-  obs::prof::set_level(resolve_prof_level(args));
-  Logger::install_flush_handlers();
+  // Self-profiling is armed before chips are constructed, so every span of
+  // the run lands in the same timeline.
+  const obs::prof::ProfSession prof(args);
 
   const std::string cores = args.get("cores", "16");
   if (cores != "16" && cores != "64") {
@@ -227,11 +173,10 @@ int main(int argc, char** argv) {
   opts.central_interval_epochs = static_cast<int>(
       args.get_double_in("central-ms", 1.0, 0.1, kMaxEpochs / 10.0) * 10);
 
-  const bool wants_obs = args.has("trace-out") || args.has("timeline-csv") ||
-                         args.has("json") || args.has("obs-level") ||
-                         args.has("prof-out");
+  const std::optional<obs::ObsLevel> obs_level = obs::prof::resolve_obs_level(args);
+  const bool wants_obs = obs_level.has_value();
   std::unique_ptr<obs::Observer> observer;
-  if (wants_obs) observer = std::make_unique<obs::Observer>(resolve_obs_level(args));
+  if (wants_obs) observer = std::make_unique<obs::Observer>(*obs_level);
 
   const std::string scheme = args.get("scheme", "all");
   const bool csv = args.has("csv");
@@ -307,10 +252,11 @@ int main(int argc, char** argv) {
     results = {r};
   }
 
+  using obs::prof::write_or_complain;
   bool io_ok = true;
   if (args.has("trace-out"))
     io_ok &= write_or_complain(args.get("trace-out"),
-                               obs::chrome_trace_json(*observer));
+                               obs::chrome_trace_json(observer.get(), nullptr));
   if (args.has("timeline-csv"))
     io_ok &= write_or_complain(args.get("timeline-csv"),
                                obs::timeline_csv(*observer));
@@ -323,22 +269,6 @@ int main(int argc, char** argv) {
       io_ok &= write_or_complain(path, summary);
     }
   }
-  if (args.has("prof-out")) {
-    const obs::prof::ProfSnapshot snap = obs::prof::Profiler::instance().snapshot();
-    io_ok &= write_or_complain(args.get("prof-out"),
-                               obs::prof::prof_trace_json(snap, observer.get()));
-  }
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    const obs::prof::RegistrySnapshot reg =
-        obs::prof::MetricsRegistry::global().snapshot();
-    if (ends_with(path, ".prom") || ends_with(path, ".txt")) {
-      io_ok &= write_or_complain(path, obs::prof::prometheus_text(reg));
-    } else {
-      const obs::prof::ProfSnapshot snap =
-          obs::prof::Profiler::instance().snapshot();
-      io_ok &= write_or_complain(path, obs::prof::metrics_json(reg, snap));
-    }
-  }
+  io_ok &= prof.write_outputs(observer.get());
   return io_ok ? 0 : 1;
 }
