@@ -20,14 +20,15 @@ void flush_then_reraise(int sig) {
   std::raise(sig);
 }
 
-std::optional<std::string> flag_value(const ArgParser& args, const char* name) {
-  if (!args.has(name)) return std::nullopt;
-  return args.get(name);
-}
-
 }  // namespace
 
 ProfLevel resolve_prof_level(const ArgParser& args) {
+  for (const char* out : {"prof-out", "metrics-out"}) {
+    if (args.has(out) && args.get(out).empty()) {
+      std::fprintf(stderr, "--%s expects a file name\n", out);
+      std::exit(2);
+    }
+  }
   if (args.has("prof-level")) {
     ProfLevel lvl = ProfLevel::kOff;
     if (!parse_prof_level(args.get("prof-level"), &lvl)) {
@@ -75,8 +76,7 @@ bool write_or_complain(const std::string& path, std::string_view content) {
 }
 
 ProfSession::ProfSession(const ArgParser& args)
-    : prof_out_(flag_value(args, "prof-out")),
-      metrics_out_(flag_value(args, "metrics-out")) {
+    : prof_out_(args.get("prof-out")), metrics_out_(args.get("metrics-out")) {
   const ProfLevel lvl = resolve_prof_level(args);
   init_clock();
   set_level(lvl);
@@ -85,16 +85,16 @@ ProfSession::ProfSession(const ArgParser& args)
 
 bool ProfSession::write_outputs(const Observer* observer) const {
   bool ok = true;
-  if (prof_out_) {
+  if (!prof_out_.empty()) {
     const ProfSnapshot snap = Profiler::instance().snapshot();
-    ok &= write_or_complain(*prof_out_, chrome_trace_json(observer, &snap));
+    ok &= write_or_complain(prof_out_, chrome_trace_json(observer, &snap));
   }
-  if (metrics_out_) {
+  if (!metrics_out_.empty()) {
     const RegistrySnapshot reg = MetricsRegistry::global().snapshot();
     ok &= write_or_complain(
-        *metrics_out_, is_prometheus_path(*metrics_out_)
-                           ? prometheus_text(reg)
-                           : metrics_json(reg, Profiler::instance().snapshot()));
+        metrics_out_, is_prometheus_path(metrics_out_)
+                          ? prometheus_text(reg)
+                          : metrics_json(reg, Profiler::instance().snapshot()));
   }
   return ok;
 }

@@ -22,7 +22,8 @@ namespace delta::obs::prof {
 
 /// An explicit --prof-level wins (anything but off|phases|full prints a
 /// message and exits 2); otherwise --prof-out implies full, --metrics-out
-/// implies phases, and neither means off.
+/// implies phases, and neither means off.  An empty --prof-out or
+/// --metrics-out value also exits 2.
 ProfLevel resolve_prof_level(const ArgParser& args);
 
 /// True when a --metrics-out path asks for Prometheus text (.prom or .txt).
@@ -55,8 +56,8 @@ class ProfSession {
   bool write_outputs(const Observer* observer = nullptr) const;
 
  private:
-  std::optional<std::string> prof_out_;
-  std::optional<std::string> metrics_out_;
+  std::string prof_out_;     ///< Empty when not requested.
+  std::string metrics_out_;  ///< Empty when not requested.
 };
 
 }  // namespace delta::obs::prof

@@ -98,7 +98,7 @@ bool Profiler::count_site(Site s) {
   // A single writer needs no read-modify-write.
   const std::uint64_t n = calls.load(std::memory_order_relaxed);
   calls.store(n + 1, std::memory_order_relaxed);
-  return n % site_sample_every(s) == 0;
+  return s != Site::kAccessBatch || n % kAccessBatchTimedEvery == 0;
 }
 
 void Profiler::add_site(Site s, std::uint64_t dur_ns) {
@@ -136,6 +136,8 @@ ProfSnapshot Profiler::snapshot() const {
       out.sites[s].hist.merge(b->sites[s].hist);
     }
   }
+  // kAccessBatch times one call in kAccessBatchTimedEvery: scale its time up
+  // to every call it counted.
   for (std::size_t s = 0; s < out.sites.size(); ++s) {
     SiteTotal& t = out.sites[s];
     if (timed[s] > 0 && timed[s] != t.calls)

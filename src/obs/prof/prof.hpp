@@ -87,13 +87,12 @@ enum class Site : std::uint8_t {
 
 std::string_view site_name(Site s);
 
-/// Every call of a site is counted; one in site_sample_every(s) calls on a
-/// thread is timed.  do_access_batch runs once per 16-access batch, where two
-/// clock reads per call would cost a serial run about 7%; the other sites
-/// run once per core or bank per epoch and are timed on every call.
-constexpr std::uint32_t site_sample_every(Site s) {
-  return s == Site::kAccessBatch ? 8 : 1;
-}
+/// Every call of a site is counted, and every call is timed except at
+/// kAccessBatch, where one call in this many on a thread is.  do_access_batch
+/// runs once per 16-access batch, where two clock reads per call would cost
+/// a serial run about 7%; the other sites run once per core or bank per
+/// epoch.
+inline constexpr std::uint32_t kAccessBatchTimedEvery = 8;
 
 struct Span {
   std::uint64_t seq = 0;
@@ -184,7 +183,7 @@ class Profiler {
                    std::uint64_t arg);
 
   /// Counts one call of site `s` on the calling thread; true when this call
-  /// is one to time (see site_sample_every).
+  /// is one to time (see kAccessBatchTimedEvery).
   bool count_site(Site s);
 
   /// Folds one timed call's duration into the calling thread's per-site

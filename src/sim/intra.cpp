@@ -196,22 +196,26 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
   // the very same order, so concatenating the slice chain reproduces the
   // serial sequence exactly.
   constexpr std::uint32_t kBatch = static_cast<std::uint32_t>(Chip::kInterleaveBatch);
+  // The workers' scratch slots share cache lines, so the merge counts in a
+  // local copy and writes it back once per slice.
+  obs::prof::EngineProfile::MergeScratch local;
+  if (ms != nullptr) local = *ms;
   for (;;) {
     // The round scan below is the serialization the merge pays for
     // determinism; at kFull profiling one round in eight is clocked (two
     // now_ns() reads) so the serial fraction can be estimated without
     // doubling the scan cost.
-    const bool sample = ms != nullptr && (ms->rounds & 7u) == 0;
+    const bool sample = ms != nullptr && (local.rounds & 7u) == 0;
     const std::uint64_t scan_t0 = sample ? obs::prof::now_ns() : 0;
     // Lowest unconsumed round across the active cores (within this slice).
     std::uint32_t round = UINT32_MAX;
     for (const MergeCursor& m : tally.merge)
       if (m.next != m.end) round = std::min(round, *m.next / kBatch);
     if (ms != nullptr) {
-      ++ms->rounds;
+      ++local.rounds;
       if (sample) {
-        ms->scan_ns += obs::prof::now_ns() - scan_t0;
-        ++ms->sampled_rounds;
+        local.scan_ns += obs::prof::now_ns() - scan_t0;
+        ++local.sampled_rounds;
       }
     }
     if (round == UINT32_MAX) break;
@@ -239,6 +243,7 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
       }
     }
   }
+  if (ms != nullptr) *ms = local;
 }
 
 void IntraEngine::reduce_core(CoreId c, bool measuring) {

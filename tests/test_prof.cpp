@@ -125,7 +125,7 @@ TEST_F(ProfTest, SiteAggregationAccumulates) {
 }
 
 TEST_F(ProfTest, AccessBatchSiteCountsEveryCallAndTimesOneInEight) {
-  ASSERT_EQ(obs::prof::site_sample_every(Site::kAccessBatch), 8u);
+  ASSERT_EQ(obs::prof::kAccessBatchTimedEvery, 8u);
   obs::prof::set_level(ProfLevel::kFull);
   for (int i = 0; i < 16; ++i)
     obs::prof::ScopedSite site(Site::kAccessBatch);
@@ -352,6 +352,19 @@ TEST(ProfFrontEnd, LevelTable) {
   for (const Case& c : cases) {
     EXPECT_EQ(obs::prof::resolve_prof_level(parse_flags(c.flags)), c.want)
         << ::testing::PrintToString(c.flags);
+  }
+  // An output flag without a file name would arm the profiler and then write
+  // nowhere.
+  const std::vector<std::string> no_file[] = {
+      {"--prof-out"},
+      {"--prof-out", "--prof-level", "off"},
+      {"--metrics-out="},
+      {"--metrics-out", "--json"},
+  };
+  for (const auto& flags : no_file) {
+    EXPECT_EXIT(obs::prof::resolve_prof_level(parse_flags(flags)),
+                ::testing::ExitedWithCode(2), "expects a file name")
+        << ::testing::PrintToString(flags);
   }
 }
 
